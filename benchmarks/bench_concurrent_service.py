@@ -91,10 +91,10 @@ def run_config(write_ratio: float, num_shards: int, num_workers: int):
     # Load without paying simulated read latency: reads during the batched
     # load are index-internal and identical across configurations.
     for shard in service._shards:
-        shard.backing.realtime = False
+        shard.engine.backing.realtime = False
     driver.load(service)
     for shard in service._shards:
-        shard.backing.realtime = True
+        shard.engine.backing.realtime = True
     counters = driver.run_concurrent(service, num_threads=num_workers)
     contention = service.metrics().contention
     return counters, contention

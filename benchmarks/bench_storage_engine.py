@@ -6,10 +6,8 @@ segment storage engine (:mod:`repro.storage.segment`, documented in
 questions:
 
 1. **Read throughput** — what does serving point lookups off the segment
-   store cost versus the in-memory store and the write-through
-   `FileNodeStore`?  Segment reads re-parse and CRC-check every record,
-   so they sit below memory but must stay in the same league as the
-   plain file store.
+   store cost versus the in-memory store?  Segment reads re-parse and
+   CRC-check every record, so they sit below memory.
 2. **Recovery time** — how long does the open-time scan (directory
    rebuild + torn-tail repair) take as the store grows?  Recovery is a
    single sequential pass, so seconds should scale roughly linearly with
@@ -33,7 +31,6 @@ import pytest
 from common import report_table, run_read_workload, scaled, throughput
 from repro.indexes import POSTree
 from repro.service import VersionedKVService
-from repro.storage.file import FileNodeStore
 from repro.storage.memory import InMemoryNodeStore
 from repro.storage.segment import SegmentNodeStore
 from repro.workloads.ycsb import YCSBConfig, YCSBServiceDriver, YCSBWorkload
@@ -68,7 +65,7 @@ def build_tree(store, data):
 
 
 # ---------------------------------------------------------------------------
-# 1. Read throughput: segment store vs memory vs plain file store
+# 1. Read throughput: segment store vs memory
 # ---------------------------------------------------------------------------
 
 def run_read_comparison(workdir):
@@ -78,7 +75,6 @@ def run_read_comparison(workdir):
     ops = {}
     stores = [
         ("InMemoryNodeStore", lambda: InMemoryNodeStore()),
-        ("FileNodeStore", lambda: FileNodeStore(os.path.join(workdir, "file"))),
         ("SegmentNodeStore", lambda: SegmentNodeStore(os.path.join(workdir, "segment"))),
     ]
     for name, factory in stores:
@@ -99,10 +95,8 @@ def test_read_throughput(benchmark, workdir):
         ["Store", "Reads", "Seconds", "Ops/s"],
         rows,
     )
-    # Shape: memory is the ceiling; the CRC-checking segment store stays
-    # within an order of magnitude of the plain file store.
+    # Shape: memory is the ceiling for the CRC-checking segment store.
     assert ops["InMemoryNodeStore"] > ops["SegmentNodeStore"]
-    assert ops["SegmentNodeStore"] > ops["FileNodeStore"] * 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +155,9 @@ def run_gc_churn(workdir):
             workload.version_stream(CHURN_VERSIONS, updates_per_version=RECORD_COUNT // 4)):
         service.put_many(batch)
         service.commit(f"churn {version}")
-    bytes_before = sum(shard.backing.file_bytes() for shard in service._shards)
+    bytes_before = sum(shard.engine.backing.file_bytes() for shard in service._shards)
     report = service.collect_garbage()
-    bytes_after = sum(shard.backing.file_bytes() for shard in service._shards)
+    bytes_after = sum(shard.engine.backing.file_bytes() for shard in service._shards)
     # Every retained version must stay fully readable after the sweep.
     retained_ok = all(
         service.get(workload.keys[0], version=commit.version) is not None

@@ -15,6 +15,9 @@ Checks performed:
    `pydoc repro` reader lands on) carry docstrings.
 4. ``docs/PAPER_MAP.md`` is complete: every ``benchmarks/bench_*.py``
    script is listed there (so a new benchmark cannot land unmapped).
+5. The per-op payload table of ``docs/SERVER.md`` is the one the wire
+   schema (``repro.server.protocol.SCHEMA``) renders to — same ops, same
+   fields (``--print-op-table`` prints the expected block).
 
 Exits non-zero listing every violation, so it can gate CI.
 """
@@ -55,7 +58,6 @@ FULL_COVERAGE_MODULES = [
     "src/repro/indexes/__init__.py",
     "src/repro/storage/__init__.py",
     "src/repro/storage/store.py",
-    "src/repro/storage/file.py",
     "src/repro/storage/segment.py",
     "src/repro/storage/gc.py",
     "src/repro/service/__init__.py",
@@ -75,6 +77,10 @@ FULL_COVERAGE_MODULES = [
 ]
 
 PAPER_MAP = "docs/PAPER_MAP.md"
+
+SERVER_DOC = "docs/SERVER.md"
+OP_TABLE_BEGIN = "<!-- op-table:begin (generated: scripts/check_docs.py --print-op-table) -->"
+OP_TABLE_END = "<!-- op-table:end -->"
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
@@ -158,19 +164,78 @@ def check_paper_map(errors: list) -> None:
                 "artifact / result file (add a row)")
 
 
+def _wire_type(field, records: dict) -> str:
+    """A schema field as the docs spell it: ``opt<bytes>``, ``list<(u32, bytes)>``…
+
+    Record types are spelled by name; their layouts are noted in ``records``.
+    """
+    if field.kind in ("opt", "list"):
+        return f"{field.kind}<{_wire_type(field.parts[0], records)}>"
+    if field.kind == "tuple":
+        return f"({', '.join(_wire_type(part, records) for part in field.parts)})"
+    if field.kind == "record":
+        records[field.builds.__name__] = _payload(field.parts, records)
+        return field.builds.__name__
+    return field.kind
+
+
+def _payload(row, records: dict) -> str:
+    """One schema row as a table cell."""
+    parts = []
+    for name, field in row:
+        if hasattr(field, "when_true"):
+            parts.append(f"`{name}` flag; if 1: {_payload(field.when_true, records)}; "
+                         f"if 0: {_payload(field.when_false, records)}")
+        else:
+            parts.append(f"`{name}` {_wire_type(field, records)}")
+    return ", ".join(parts) or "—"
+
+
+def render_op_table() -> str:
+    """The payload table and record layouts, rendered from the wire schema."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    from repro.server import protocol
+
+    lines = ["| op | request payload | `OK` response payload |", "| --- | --- | --- |"]
+    records: dict = {}
+    for op, schema in protocol.SCHEMA.items():
+        lines.append(f"| `{op.name}` | {_payload(schema.request, records)} "
+                     f"| {_payload(schema.response, records)} |")
+    lines.append("")
+    lines += [f"* `{name}`: {layout}" for name, layout in sorted(records.items())]
+    return "\n".join(lines)
+
+
+def check_server_op_table(errors: list) -> None:
+    """Rule 5: docs/SERVER.md documents exactly the schema's ops and fields."""
+    with open(os.path.join(REPO_ROOT, SERVER_DOC), encoding="utf-8") as handle:
+        text = handle.read()
+    begin, end = text.find(OP_TABLE_BEGIN), text.find(OP_TABLE_END)
+    if begin < 0 or end < begin:
+        errors.append(f"{SERVER_DOC}: the op-table markers are missing")
+    elif text[begin + len(OP_TABLE_BEGIN):end].strip() != render_op_table():
+        errors.append(
+            f"{SERVER_DOC}: the per-op payload table differs from the wire "
+            "schema (python scripts/check_docs.py --print-op-table)")
+
+
 def main() -> int:
+    if "--print-op-table" in sys.argv[1:]:
+        print(render_op_table())
+        return 0
     errors: list = []
     check_markdown_links(errors)
     check_module_docstrings(errors)
     check_api_docstrings(errors)
     check_paper_map(errors)
+    check_server_op_table(errors)
     if errors:
         print(f"documentation check FAILED ({len(errors)} problem(s)):")
         for error in errors:
             print(f"  - {error}")
         return 1
     print("documentation check passed: links resolve, public APIs documented, "
-          "paper map complete")
+          "paper map complete, op table matches the wire schema")
     return 0
 
 

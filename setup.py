@@ -7,19 +7,28 @@ on the import path, as the README documents.
 """
 
 import os
+import re
 
 from setuptools import find_packages, setup
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
 
 def _read_long_description() -> str:
-    readme = os.path.join(os.path.dirname(__file__), "README.md")
-    with open(readme, encoding="utf-8") as handle:
+    with open(os.path.join(HERE, "README.md"), encoding="utf-8") as handle:
         return handle.read()
+
+
+def _read_version() -> str:
+    """``repro.__version__``, read from the source without importing it."""
+    with open(os.path.join(HERE, "src", "repro", "__init__.py"),
+              encoding="utf-8") as handle:
+        return re.search(r'^__version__ = "([^"]+)"', handle.read(), re.M).group(1)
 
 
 setup(
     name="repro-siri-indexes",
-    version="0.1.0",
+    version=_read_version(),
     description=(
         "Reproduction of 'Analysis of Indexing Structures for Immutable "
         "Data' (SIGMOD 2020): MPT, Merkle Bucket Tree, POS-Tree and an "

@@ -115,7 +115,6 @@ from repro.indexes import (
 )
 from repro.storage import (
     CachingNodeStore,
-    FileNodeStore,
     GarbageCollector,
     InMemoryNodeStore,
     MeteredNodeStore,
@@ -210,7 +209,6 @@ __all__ = [
     "ALL_INDEX_CLASSES",
     # storage
     "InMemoryNodeStore",
-    "FileNodeStore",
     "SegmentNodeStore",
     "CachingNodeStore",
     "MeteredNodeStore",

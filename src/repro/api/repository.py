@@ -18,8 +18,9 @@ Backends
   engine with a fsynced commit journal; every branch head survives a
   crash (recovery restores *all* heads, not just the default branch's);
 * ``Repository.open(store_factory=...)`` — any
-  :class:`~repro.storage.store.NodeStore` per shard (e.g.
-  :class:`~repro.storage.file.FileNodeStore` for simple persistence).
+  :class:`~repro.storage.store.NodeStore` per shard (e.g. a
+  :class:`~repro.storage.segment.SegmentNodeStore` over a directory of
+  your own).
 
 Example
 -------
@@ -99,7 +100,7 @@ class Repository:
             Forwarded to :class:`~repro.service.VersionedKVService`.
         store_factory:
             Builds one custom :class:`~repro.storage.store.NodeStore` per
-            shard (e.g. ``FileNodeStore`` over a directory of your own).
+            shard (e.g. ``SegmentNodeStore`` over a directory of your own).
         default_branch:
             Name of the branch :attr:`default_branch` returns.
         """

@@ -88,7 +88,7 @@ class ShardExecutionError(ReproError):
         The shard whose task (or worker process) failed first.
     operation:
         Short name of the failing operation ("get_many", "commit",
-        "flush_head", ...).
+        "apply_ops", ...).
 
     The original exception is chained as ``__cause__``.
     """

@@ -36,7 +36,17 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.errors import ProtocolError
 from repro.core.proof import MerkleProof, ProofStep
@@ -91,52 +101,47 @@ class Status(IntEnum):
 # ---------------------------------------------------------------------------
 
 class _Writer:
-    """Accumulates the primitive encodings (all integers big-endian)."""
+    """Accumulates the primitive encodings (all integers big-endian).
+
+    An integer that does not fit its field raises
+    :class:`ProtocolError` — the encoder never wraps a value around or
+    leaks ``OverflowError`` to its caller.
+    """
 
     __slots__ = ("_parts",)
 
     def __init__(self):
         self._parts: List[bytes] = []
 
+    def _uint(self, value: int, size: int) -> None:
+        try:
+            self._parts.append(value.to_bytes(size, "big"))
+        except (OverflowError, AttributeError, TypeError):
+            raise ProtocolError(
+                f"{value!r} does not fit an unsigned {8 * size}-bit "
+                "integer field") from None
+
     def u8(self, value: int) -> None:
-        self._parts.append(bytes((value & 0xFF,)))
+        self._uint(value, 1)
 
     def u32(self, value: int) -> None:
-        self._parts.append(int(value).to_bytes(4, "big"))
+        self._uint(value, 4)
 
     def u64(self, value: int) -> None:
-        self._parts.append(int(value).to_bytes(8, "big"))
+        self._uint(value, 8)
 
     def f64(self, value: float) -> None:
         self._parts.append(struct.pack(">d", value))
+
+    def flag(self, value: bool) -> None:
+        self._parts.append(b"\x01" if value else b"\x00")
 
     def bytes_(self, value: bytes) -> None:
         self.u32(len(value))
         self._parts.append(bytes(value))
 
-    def opt_bytes(self, value: Optional[bytes]) -> None:
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.bytes_(value)
-
     def str_(self, value: str) -> None:
         self.bytes_(value.encode("utf-8"))
-
-    def opt_str(self, value: Optional[str]) -> None:
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.str_(value)
-
-    def opt_u64(self, value: Optional[int]) -> None:
-        if value is None:
-            self.u8(0)
-        else:
-            self.u8(1)
-            self.u64(value)
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
@@ -182,12 +187,15 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack(">d", self._take(8))[0]
 
+    def flag(self) -> bool:
+        flag = self.u8()
+        if flag not in (0, 1):
+            raise ProtocolError(f"invalid flag byte: {flag}")
+        return bool(flag)
+
     def bytes_(self) -> bytes:
         length = self.u32()
         return self._take(length)
-
-    def opt_bytes(self) -> Optional[bytes]:
-        return self.bytes_() if self._flag() else None
 
     def str_(self) -> str:
         raw = self.bytes_()
@@ -195,18 +203,6 @@ class _Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"invalid UTF-8 string field: {exc}") from None
-
-    def opt_str(self) -> Optional[str]:
-        return self.str_() if self._flag() else None
-
-    def opt_u64(self) -> Optional[int]:
-        return self.u64() if self._flag() else None
-
-    def _flag(self) -> bool:
-        flag = self.u8()
-        if flag not in (0, 1):
-            raise ProtocolError(f"invalid presence flag: {flag}")
-        return bool(flag)
 
     def count(self, min_item_bytes: int) -> int:
         """Read a list length, rejecting counts the frame cannot hold."""
@@ -490,415 +486,297 @@ def peek_request_id(body: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Request codec
+# Field combinators
 # ---------------------------------------------------------------------------
+
+class Field(NamedTuple):
+    """One wire type: a value's encoding, built up by the combinators below.
+
+    ``write(writer, value)`` and ``read(reader)`` are inverses over
+    :class:`_Writer`/:class:`_Reader`.  ``min_bytes`` is the smallest
+    encoding — the per-item bound :func:`list_of` hands to
+    ``_Reader.count``, so a hostile count is refused before anything is
+    allocated.  ``empty`` is what a message attribute left at ``None``
+    is written as.  ``kind``, ``parts`` (the fields it is built from)
+    and ``builds`` (the container or record class ``read`` returns)
+    describe the type to tools: the test generators and the payload
+    table in ``docs/SERVER.md`` are derived from them.
+    """
+
+    kind: str
+    write: Callable[[_Writer, Any], None]
+    read: Callable[[_Reader], Any]
+    min_bytes: int
+    empty: Any = None
+    parts: Tuple = ()
+    builds: Optional[type] = None
+
+
+U32 = Field("u32", _Writer.u32, _Reader.u32, 4, 0)
+U64 = Field("u64", _Writer.u64, _Reader.u64, 8, 0)
+F64 = Field("f64", _Writer.f64, _Reader.f64, 8, 0.0)
+FLAG = Field("flag", _Writer.flag, _Reader.flag, 1, False)
+BYTES = Field("bytes", _Writer.bytes_, _Reader.bytes_, 4, b"")
+STR = Field("str", _Writer.str_, _Reader.str_, 4, "")
+
+
+def opt(item: Field) -> Field:
+    """``item`` behind a one-byte presence flag (``None`` = absent)."""
+    def write(writer: _Writer, value: Any) -> None:
+        writer.flag(value is not None)
+        if value is not None:
+            item.write(writer, value)
+
+    def read(reader: _Reader) -> Any:
+        return item.read(reader) if reader.flag() else None
+
+    return Field("opt", write, read, 1, None, (item,))
+
+
+def list_of(item: Field, container: type = list) -> Field:
+    """A ``u32`` count, then that many ``item``s (decoded into ``container``)."""
+    def write(writer: _Writer, values: Sequence) -> None:
+        writer.u32(len(values))
+        for value in values:
+            item.write(writer, value)
+
+    def read(reader: _Reader) -> Any:
+        items = [item.read(reader) for _ in range(reader.count(item.min_bytes))]
+        return items if container is list else container(items)
+
+    return Field("list", write, read, 4, container(), (item,), container)
+
+
+def tuple_of(*items: Field) -> Field:
+    """A fixed-arity tuple: each item's encoding, in order."""
+    def write(writer: _Writer, values: Sequence) -> None:
+        if len(values) != len(items):
+            raise ProtocolError(
+                f"expected a {len(items)}-tuple, got {len(values)} value(s)")
+        for item, value in zip(items, values):
+            item.write(writer, value)
+
+    def read(reader: _Reader) -> Tuple:
+        return tuple([item.read(reader) for item in items])
+
+    return Field("tuple", write, read,
+                 sum(item.min_bytes for item in items), None, items)
+
+
+def record(cls: type, *members: Tuple[str, Field]) -> Field:
+    """A ``cls`` record: its named members' encodings, in order."""
+    def write(writer: _Writer, value: Any) -> None:
+        if value is None:
+            raise ProtocolError(f"the payload requires a {cls.__name__}")
+        for name, member in members:
+            member.write(writer, getattr(value, name))
+
+    def read(reader: _Reader) -> Any:
+        return cls(*[member.read(reader) for _, member in members])
+
+    return Field("record", write, read,
+                 sum(member.min_bytes for _, member in members), None,
+                 members, cls)
+
+
+class Modes(NamedTuple):
+    """A two-mode payload: the boolean attribute it is paired with is
+    written first as a flag, then the row of the mode it selects."""
+
+    when_true: "Row"
+    when_false: "Row"
+
+
+#: One message payload: ``(attribute name, Field or Modes)`` pairs in
+#: wire order, read from / assigned to a :class:`Request` or
+#: :class:`Response`.
+Row = Tuple[Tuple[str, Union[Field, Modes]], ...]
+
+
+def _write_row(writer: _Writer, message: Any, row: Row) -> None:
+    for name, field_ in row:
+        value = getattr(message, name)
+        if isinstance(field_, Modes):
+            writer.flag(value)
+            _write_row(writer, message,
+                       field_.when_true if value else field_.when_false)
+        else:
+            field_.write(writer, field_.empty if value is None else value)
+
+
+def _read_row(reader: _Reader, message: Any, row: Row) -> None:
+    for name, field_ in row:
+        if isinstance(field_, Modes):
+            value = reader.flag()
+            setattr(message, name, value)
+            _read_row(reader, message,
+                      field_.when_true if value else field_.when_false)
+        else:
+            setattr(message, name, field_.read(reader))
+
+
+# ---------------------------------------------------------------------------
+# The per-op schema
+# ---------------------------------------------------------------------------
+
+_OPT_BYTES = opt(BYTES)
+_OPT_U64 = opt(U64)
+_KEYS = list_of(BYTES)
+_PAIRS = list_of(tuple_of(BYTES, BYTES))
+_ROOTS = list_of(_OPT_BYTES, tuple)
+_VERSION = ("version", _OPT_U64)
+
+_COMMIT = ("commit", record(
+    CommitInfo, ("version", U64), ("digest", BYTES), ("branch", STR),
+    ("parents", list_of(U64, tuple)), ("timestamp", F64), ("message", STR),
+    ("roots", _ROOTS)))
+_PROOF = record(
+    WireProof, ("key", BYTES), ("value", _OPT_BYTES), ("index_name", STR),
+    ("shard_id", U32), ("root", _OPT_BYTES),
+    ("steps", list_of(tuple_of(U32, BYTES))))
+_HEAD = record(
+    WireBranchHead, ("branch", STR), ("digest", BYTES), ("roots", _ROOTS),
+    ("ancestry", list_of(BYTES, tuple)))
+_CURSOR: Row = (("cursor_version", _OPT_U64), ("cursor_offset", U32))
+
+
+class OpSchema(NamedTuple):
+    """The wire payloads of one op: its request row and its OK-response row."""
+
+    request: Row
+    response: Row
+
+
+def _one_row_per_op(rows: Sequence[Tuple[Op, Row, Row]]) -> Dict[Op, OpSchema]:
+    """Index the rows by op; a repeated or a missing op fails the import."""
+    schema: Dict[Op, OpSchema] = {}
+    for op, request, response in rows:
+        if op in schema:
+            raise AssertionError(f"{op.name} has two schema rows")
+        schema[op] = OpSchema(request, response)
+    missing = [op.name for op in Op if op not in schema]
+    if missing:
+        raise AssertionError(f"ops without a schema row: {missing}")
+    return schema
+
+
+#: The one definition of every op's payload.  All four codec functions
+#: below walk it, the server derives its dispatch table from it
+#: (:mod:`repro.server.server`), and so do the codec tests' generators
+#: and the payload table of ``docs/SERVER.md``.  To add an op see
+#: "Adding an op" there.
+SCHEMA: Dict[Op, OpSchema] = _one_row_per_op((
+    (Op.PING, (), ()),
+    (Op.GET, (("key", BYTES), _VERSION), (("value", _OPT_BYTES),)),
+    (Op.GET_MANY, (("keys", _KEYS), _VERSION),
+     (("values", list_of(_OPT_BYTES)),)),
+    (Op.PUT_MANY, (("items", _PAIRS),), (("ack_count", U32),)),
+    (Op.REMOVE_MANY, (("keys", _KEYS),), (("ack_count", U32),)),
+    (Op.SCAN,
+     (("start", _OPT_BYTES), ("stop", _OPT_BYTES), ("prefix", _OPT_BYTES),
+      ("limit", U32), _VERSION),
+     (("items", _PAIRS), ("truncated", FLAG))),
+    (Op.DIFF, (_VERSION, ("right_version", _OPT_U64)),
+     (("diff_entries", list_of(tuple_of(BYTES, _OPT_BYTES, _OPT_BYTES))),)),
+    (Op.COMMIT, (("message", STR),), (_COMMIT,)),
+    (Op.SNAPSHOT, (_VERSION,), (_COMMIT,)),
+    (Op.BRANCHES, (), (("branches", list_of(STR)),)),
+    (Op.BRANCH_CREATE, (("branch", STR), ("from_branch", opt(STR))),
+     (_COMMIT,)),
+    (Op.BRANCH_HEAD, (("branch", STR),), (_COMMIT,)),
+    (Op.PROVE, (("key", BYTES), _VERSION), (("proof", _PROOF),)),
+    (Op.FETCH_HEADS, (), (("num_shards", U32), ("heads", list_of(_HEAD)))),
+    (Op.FETCH_NODES,
+     (("shard_id", U32), ("missing_only", FLAG), ("digests", _KEYS)),
+     (("mode_flag", Modes(when_true=(("digests", _KEYS),),
+                          when_false=(("items", _PAIRS),))),)),
+    (Op.PUSH_NODES,
+     (("publish", Modes(
+         when_true=(("branch", STR), ("roots", list_of(_OPT_BYTES)),
+                    ("expected", _OPT_BYTES), ("message", STR)),
+         when_false=(("shard_id", U32), ("items", _PAIRS)))),),
+     (("mode_flag", Modes(when_true=(_COMMIT,),
+                          when_false=(("ack_count", U32),))),)),
+    (Op.SUBSCRIBE, (("branch", STR), _VERSION), _CURSOR),
+    (Op.POLL_FEED,
+     (("branch", STR), _VERSION, ("feed_offset", U32), ("limit", U32),
+      ("prefix", _OPT_BYTES)),
+     (("events", list_of(tuple_of(U64, BYTES, BYTES, _OPT_BYTES, _OPT_BYTES))),
+      *_CURSOR, ("up_to_date", FLAG))),
+))
+
+#: Payload of an ``ERROR`` or ``BUSY`` response, whatever the op.
+_FAILURE: Row = (("error_code", STR), ("error_message", STR))
+
+
+# ---------------------------------------------------------------------------
+# The codec
+# ---------------------------------------------------------------------------
+
+def _read_header(reader: _Reader) -> None:
+    version = reader.u8()
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"unsupported protocol version {version} "
+            f"(expected {PROTOCOL_VERSION})")
+
+
+def _read_enum(reader: _Reader, enum: type, what: str) -> Any:
+    value = reader.u8()
+    try:
+        return enum(value)
+    except ValueError:
+        raise ProtocolError(f"unknown {what}: {value}") from None
+
+
+def _schema_of(op: Op) -> OpSchema:
+    try:
+        return SCHEMA[op]
+    except KeyError:
+        raise ProtocolError(f"cannot encode unknown op: {op!r}") from None
+
 
 def encode_request(request: Request) -> bytes:
     """Encode a request body (pass through :func:`encode_frame` to send)."""
     writer = _Writer()
     writer.u8(PROTOCOL_VERSION)
-    writer.u8(int(request.op))
+    writer.u8(request.op)
     writer.u32(request.request_id)
-    op = request.op
-    if op is Op.PING or op is Op.BRANCHES:
-        pass
-    elif op is Op.GET or op is Op.PROVE:
-        writer.bytes_(request.key or b"")
-        writer.opt_u64(request.version)
-    elif op is Op.GET_MANY:
-        keys = request.keys or []
-        writer.u32(len(keys))
-        for key in keys:
-            writer.bytes_(key)
-        writer.opt_u64(request.version)
-    elif op is Op.PUT_MANY:
-        items = request.items or []
-        writer.u32(len(items))
-        for key, value in items:
-            writer.bytes_(key)
-            writer.bytes_(value)
-    elif op is Op.REMOVE_MANY:
-        keys = request.keys or []
-        writer.u32(len(keys))
-        for key in keys:
-            writer.bytes_(key)
-    elif op is Op.SCAN:
-        writer.opt_bytes(request.start)
-        writer.opt_bytes(request.stop)
-        writer.opt_bytes(request.prefix)
-        writer.u32(request.limit)
-        writer.opt_u64(request.version)
-    elif op is Op.DIFF:
-        writer.opt_u64(request.version)
-        writer.opt_u64(request.right_version)
-    elif op is Op.COMMIT:
-        writer.str_(request.message)
-    elif op is Op.SNAPSHOT:
-        writer.opt_u64(request.version)
-    elif op is Op.BRANCH_CREATE:
-        writer.str_(request.branch or "")
-        writer.opt_str(request.from_branch)
-    elif op is Op.BRANCH_HEAD:
-        writer.str_(request.branch or "")
-    elif op is Op.FETCH_HEADS:
-        pass
-    elif op is Op.FETCH_NODES:
-        writer.u32(request.shard_id)
-        writer.u8(1 if request.missing_only else 0)
-        digests = request.digests or []
-        writer.u32(len(digests))
-        for digest in digests:
-            writer.bytes_(digest)
-    elif op is Op.PUSH_NODES:
-        if request.publish:
-            writer.u8(1)
-            writer.str_(request.branch or "")
-            roots = request.roots or []
-            writer.u32(len(roots))
-            for root in roots:
-                writer.opt_bytes(root)
-            writer.opt_bytes(request.expected)
-            writer.str_(request.message)
-        else:
-            writer.u8(0)
-            writer.u32(request.shard_id)
-            items = request.items or []
-            writer.u32(len(items))
-            for digest, node_bytes in items:
-                writer.bytes_(digest)
-                writer.bytes_(node_bytes)
-    elif op is Op.SUBSCRIBE:
-        writer.str_(request.branch or "")
-        writer.opt_u64(request.version)
-    elif op is Op.POLL_FEED:
-        writer.str_(request.branch or "")
-        writer.opt_u64(request.version)
-        writer.u32(request.feed_offset)
-        writer.u32(request.limit)
-        writer.opt_bytes(request.prefix)
-    else:  # pragma: no cover - Op is exhaustive
-        raise ProtocolError(f"cannot encode unknown op: {op!r}")
+    _write_row(writer, request, _schema_of(request.op).request)
     return writer.getvalue()
 
 
 def decode_request(body: bytes) -> Request:
     """Decode one request body; raises :class:`ProtocolError` on any flaw."""
     reader = _Reader(body)
-    version = reader.u8()
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {version} "
-            f"(expected {PROTOCOL_VERSION})")
-    op = _decode_op(reader.u8())
+    _read_header(reader)
+    op = _read_enum(reader, Op, "opcode")
     request = Request(op=op, request_id=reader.u32())
-    if op is Op.PING or op is Op.BRANCHES:
-        pass
-    elif op is Op.GET or op is Op.PROVE:
-        request.key = reader.bytes_()
-        request.version = reader.opt_u64()
-    elif op is Op.GET_MANY:
-        request.keys = [reader.bytes_() for _ in range(reader.count(4))]
-        request.version = reader.opt_u64()
-    elif op is Op.PUT_MANY:
-        request.items = [(reader.bytes_(), reader.bytes_())
-                         for _ in range(reader.count(8))]
-    elif op is Op.REMOVE_MANY:
-        request.keys = [reader.bytes_() for _ in range(reader.count(4))]
-    elif op is Op.SCAN:
-        request.start = reader.opt_bytes()
-        request.stop = reader.opt_bytes()
-        request.prefix = reader.opt_bytes()
-        request.limit = reader.u32()
-        request.version = reader.opt_u64()
-    elif op is Op.DIFF:
-        request.version = reader.opt_u64()
-        request.right_version = reader.opt_u64()
-    elif op is Op.COMMIT:
-        request.message = reader.str_()
-    elif op is Op.SNAPSHOT:
-        request.version = reader.opt_u64()
-    elif op is Op.BRANCH_CREATE:
-        request.branch = reader.str_()
-        request.from_branch = reader.opt_str()
-    elif op is Op.BRANCH_HEAD:
-        request.branch = reader.str_()
-    elif op is Op.FETCH_HEADS:
-        pass
-    elif op is Op.FETCH_NODES:
-        request.shard_id = reader.u32()
-        request.missing_only = reader._flag()
-        request.digests = [reader.bytes_() for _ in range(reader.count(4))]
-    elif op is Op.PUSH_NODES:
-        request.publish = reader._flag()
-        if request.publish:
-            request.branch = reader.str_()
-            request.roots = [reader.opt_bytes()
-                             for _ in range(reader.count(1))]
-            request.expected = reader.opt_bytes()
-            request.message = reader.str_()
-        else:
-            request.shard_id = reader.u32()
-            request.items = [(reader.bytes_(), reader.bytes_())
-                             for _ in range(reader.count(8))]
-    elif op is Op.SUBSCRIBE:
-        request.branch = reader.str_()
-        request.version = reader.opt_u64()
-    elif op is Op.POLL_FEED:
-        request.branch = reader.str_()
-        request.version = reader.opt_u64()
-        request.feed_offset = reader.u32()
-        request.limit = reader.u32()
-        request.prefix = reader.opt_bytes()
+    _read_row(reader, request, SCHEMA[op].request)
     reader.expect_end()
     return request
-
-
-def _decode_op(value: int) -> Op:
-    try:
-        return Op(value)
-    except ValueError:
-        raise ProtocolError(f"unknown opcode: {value}") from None
-
-
-def _decode_status(value: int) -> Status:
-    try:
-        return Status(value)
-    except ValueError:
-        raise ProtocolError(f"unknown status byte: {value}") from None
-
-
-# ---------------------------------------------------------------------------
-# Response codec
-# ---------------------------------------------------------------------------
-
-def _encode_commit(writer: _Writer, commit: CommitInfo) -> None:
-    writer.u64(commit.version)
-    writer.bytes_(commit.digest)
-    writer.str_(commit.branch)
-    writer.u32(len(commit.parents))
-    for parent in commit.parents:
-        writer.u64(parent)
-    writer.f64(commit.timestamp)
-    writer.str_(commit.message)
-    writer.u32(len(commit.roots))
-    for root in commit.roots:
-        writer.opt_bytes(root)
-
-
-def _decode_commit(reader: _Reader) -> CommitInfo:
-    version = reader.u64()
-    digest = reader.bytes_()
-    branch = reader.str_()
-    parents = tuple(reader.u64() for _ in range(reader.count(8)))
-    timestamp = reader.f64()
-    message = reader.str_()
-    roots = tuple(reader.opt_bytes() for _ in range(reader.count(1)))
-    return CommitInfo(version, digest, branch, parents, timestamp, message, roots)
 
 
 def encode_response(response: Response) -> bytes:
     """Encode a response body (pass through :func:`encode_frame` to send)."""
     writer = _Writer()
     writer.u8(PROTOCOL_VERSION)
-    writer.u8(int(response.status))
-    writer.u8(int(response.op))
+    writer.u8(response.status)
+    writer.u8(response.op)
     writer.u32(response.request_id)
-    if response.status is not Status.OK:
-        writer.str_(response.error_code)
-        writer.str_(response.error_message)
-        return writer.getvalue()
-    op = response.op
-    if op is Op.PING:
-        pass
-    elif op is Op.GET:
-        writer.opt_bytes(response.value)
-    elif op is Op.GET_MANY:
-        values = response.values or []
-        writer.u32(len(values))
-        for value in values:
-            writer.opt_bytes(value)
-    elif op in (Op.PUT_MANY, Op.REMOVE_MANY):
-        writer.u32(response.ack_count)
-    elif op is Op.SCAN:
-        items = response.items or []
-        writer.u32(len(items))
-        for key, value in items:
-            writer.bytes_(key)
-            writer.bytes_(value)
-        writer.u8(1 if response.truncated else 0)
-    elif op is Op.DIFF:
-        entries = response.diff_entries or []
-        writer.u32(len(entries))
-        for key, left, right in entries:
-            writer.bytes_(key)
-            writer.opt_bytes(left)
-            writer.opt_bytes(right)
-    elif op in (Op.COMMIT, Op.SNAPSHOT, Op.BRANCH_CREATE, Op.BRANCH_HEAD):
-        if response.commit is None:
-            raise ProtocolError(f"{op.name} response requires a commit record")
-        _encode_commit(writer, response.commit)
-    elif op is Op.BRANCHES:
-        names = response.branches or []
-        writer.u32(len(names))
-        for name in names:
-            writer.str_(name)
-    elif op is Op.PROVE:
-        proof = response.proof
-        if proof is None:
-            raise ProtocolError("PROVE response requires a proof")
-        writer.bytes_(proof.key)
-        writer.opt_bytes(proof.value)
-        writer.str_(proof.index_name)
-        writer.u32(proof.shard_id)
-        writer.opt_bytes(proof.root)
-        writer.u32(len(proof.steps))
-        for level, node_bytes in proof.steps:
-            writer.u32(level)
-            writer.bytes_(node_bytes)
-    elif op is Op.FETCH_HEADS:
-        writer.u32(response.num_shards)
-        heads = response.heads or []
-        writer.u32(len(heads))
-        for head in heads:
-            writer.str_(head.branch)
-            writer.bytes_(head.digest)
-            writer.u32(len(head.roots))
-            for root in head.roots:
-                writer.opt_bytes(root)
-            writer.u32(len(head.ancestry))
-            for digest in head.ancestry:
-                writer.bytes_(digest)
-    elif op is Op.FETCH_NODES:
-        if response.mode_flag:
-            writer.u8(1)
-            digests = response.digests or []
-            writer.u32(len(digests))
-            for digest in digests:
-                writer.bytes_(digest)
-        else:
-            writer.u8(0)
-            items = response.items or []
-            writer.u32(len(items))
-            for digest, node_bytes in items:
-                writer.bytes_(digest)
-                writer.bytes_(node_bytes)
-    elif op is Op.PUSH_NODES:
-        if response.mode_flag:
-            writer.u8(1)
-            if response.commit is None:
-                raise ProtocolError(
-                    "PUSH_NODES publish response requires a commit record")
-            _encode_commit(writer, response.commit)
-        else:
-            writer.u8(0)
-            writer.u32(response.ack_count)
-    elif op is Op.SUBSCRIBE:
-        writer.opt_u64(response.cursor_version)
-        writer.u32(response.cursor_offset)
-    elif op is Op.POLL_FEED:
-        events = response.events or []
-        writer.u32(len(events))
-        for version, digest, key, old, new in events:
-            writer.u64(version)
-            writer.bytes_(digest)
-            writer.bytes_(key)
-            writer.opt_bytes(old)
-            writer.opt_bytes(new)
-        writer.opt_u64(response.cursor_version)
-        writer.u32(response.cursor_offset)
-        writer.u8(1 if response.up_to_date else 0)
-    else:  # pragma: no cover - Op is exhaustive
-        raise ProtocolError(f"cannot encode response for op: {op!r}")
+    _write_row(writer, response, _schema_of(response.op).response
+               if response.status is Status.OK else _FAILURE)
     return writer.getvalue()
 
 
 def decode_response(body: bytes) -> Response:
     """Decode one response body; raises :class:`ProtocolError` on any flaw."""
     reader = _Reader(body)
-    version = reader.u8()
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {version} "
-            f"(expected {PROTOCOL_VERSION})")
-    status = _decode_status(reader.u8())
-    op = _decode_op(reader.u8())
+    _read_header(reader)
+    status = _read_enum(reader, Status, "status byte")
+    op = _read_enum(reader, Op, "opcode")
     response = Response(status=status, op=op, request_id=reader.u32())
-    if status is not Status.OK:
-        response.error_code = reader.str_()
-        response.error_message = reader.str_()
-        reader.expect_end()
-        return response
-    if op is Op.PING:
-        pass
-    elif op is Op.GET:
-        response.value = reader.opt_bytes()
-    elif op is Op.GET_MANY:
-        response.values = [reader.opt_bytes() for _ in range(reader.count(1))]
-    elif op in (Op.PUT_MANY, Op.REMOVE_MANY):
-        response.ack_count = reader.u32()
-    elif op is Op.SCAN:
-        response.items = [(reader.bytes_(), reader.bytes_())
-                          for _ in range(reader.count(8))]
-        truncated = reader.u8()
-        if truncated not in (0, 1):
-            raise ProtocolError(f"invalid truncated flag: {truncated}")
-        response.truncated = bool(truncated)
-    elif op is Op.DIFF:
-        response.diff_entries = [
-            (reader.bytes_(), reader.opt_bytes(), reader.opt_bytes())
-            for _ in range(reader.count(6))]
-    elif op in (Op.COMMIT, Op.SNAPSHOT, Op.BRANCH_CREATE, Op.BRANCH_HEAD):
-        response.commit = _decode_commit(reader)
-    elif op is Op.BRANCHES:
-        response.branches = [reader.str_() for _ in range(reader.count(4))]
-    elif op is Op.PROVE:
-        key = reader.bytes_()
-        value = reader.opt_bytes()
-        index_name = reader.str_()
-        shard_id = reader.u32()
-        root = reader.opt_bytes()
-        steps = [(reader.u32(), reader.bytes_())
-                 for _ in range(reader.count(8))]
-        response.proof = WireProof(key, value, index_name, shard_id, root, steps)
-    elif op is Op.FETCH_HEADS:
-        response.num_shards = reader.u32()
-        response.heads = []
-        for _ in range(reader.count(13)):
-            branch = reader.str_()
-            digest = reader.bytes_()
-            roots = tuple(reader.opt_bytes()
-                          for _ in range(reader.count(1)))
-            ancestry = tuple(reader.bytes_()
-                             for _ in range(reader.count(4)))
-            response.heads.append(
-                WireBranchHead(branch, digest, roots, ancestry))
-    elif op is Op.FETCH_NODES:
-        response.mode_flag = reader._flag()
-        if response.mode_flag:
-            response.digests = [reader.bytes_()
-                                for _ in range(reader.count(4))]
-        else:
-            response.items = [(reader.bytes_(), reader.bytes_())
-                              for _ in range(reader.count(8))]
-    elif op is Op.PUSH_NODES:
-        response.mode_flag = reader._flag()
-        if response.mode_flag:
-            response.commit = _decode_commit(reader)
-        else:
-            response.ack_count = reader.u32()
-    elif op is Op.SUBSCRIBE:
-        response.cursor_version = reader.opt_u64()
-        response.cursor_offset = reader.u32()
-    elif op is Op.POLL_FEED:
-        response.events = [
-            (reader.u64(), reader.bytes_(), reader.bytes_(),
-             reader.opt_bytes(), reader.opt_bytes())
-            for _ in range(reader.count(18))]
-        response.cursor_version = reader.opt_u64()
-        response.cursor_offset = reader.u32()
-        up_to_date = reader.u8()
-        if up_to_date not in (0, 1):
-            raise ProtocolError(f"invalid up_to_date flag: {up_to_date}")
-        response.up_to_date = bool(up_to_date)
+    _read_row(reader, response,
+              SCHEMA[op].response if status is Status.OK else _FAILURE)
     reader.expect_end()
     return response

@@ -34,7 +34,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.errors import (
     InvalidParameterError,
@@ -425,131 +425,37 @@ class RepositoryServer:
 
     def _execute(self, request: Request) -> Response:
         """Run one decoded request against the service stack."""
-        op = request.op
-        response = Response(status=Status.OK, op=op, request_id=request.request_id)
-        if op is Op.PING:
-            pass
-        elif op is Op.GET:
-            response.value = self.service.get(
-                request.key, default=None, version=request.version)
-        elif op is Op.GET_MANY:
-            response.values = self.executor.get_many(
-                request.keys or [], version=request.version)
-        elif op is Op.PUT_MANY:
-            items = request.items or []
-            self.executor.put_many(items)
-            response.ack_count = len(items)
-        elif op is Op.REMOVE_MANY:
-            keys = request.keys or []
-            self.executor.remove_many(keys)
-            response.ack_count = len(keys)
-        elif op is Op.SCAN:
-            response.items, response.truncated = self._scan(request)
-        elif op is Op.DIFF:
-            left = (request.version if request.version is not None
-                    else self.service.snapshot())
-            entries = self.executor.diff(left, request.right_version).entries
-            response.diff_entries = [(e.key, e.left, e.right) for e in entries]
-        elif op is Op.COMMIT:
-            response.commit = _commit_info(self.executor.commit(request.message))
-        elif op is Op.SNAPSHOT:
-            response.commit = _commit_info(self._resolve_commit(request.version))
-        elif op is Op.BRANCHES:
-            response.branches = self.repository.branches()
-        elif op is Op.BRANCH_CREATE:
-            self.repository.create_branch(request.branch, request.from_branch)
-            response.commit = _commit_info(
-                self.service.branch_head(request.branch))
-        elif op is Op.BRANCH_HEAD:
-            response.commit = _commit_info(
-                self.service.branch_head(request.branch))
-        elif op is Op.PROVE:
-            response.proof = self._prove(request)
-        elif op is Op.FETCH_HEADS:
-            response.num_shards = self.service.router.num_shards
-            response.heads = []
-            for branch in self.service.branches():
-                head = self.service.branch_head(branch)
-                response.heads.append(WireBranchHead(
-                    branch=branch,
-                    digest=head.digest.raw,
-                    roots=tuple(None if root is None else root.raw
-                                for root in head.roots),
-                    ancestry=tuple(
-                        digest.raw for digest
-                        in self.service.ancestry_digests(branch)),
-                ))
-        elif op is Op.FETCH_NODES:
-            digests = [Digest(raw) for raw in (request.digests or [])]
-            if request.missing_only:
-                response.mode_flag = True
-                response.digests = [
-                    digest.raw for digest in self.service.shard_missing_digests(
-                        request.shard_id, digests)]
-            else:
-                response.items = [
-                    (digest.raw, data) for digest, data
-                    in self.service.shard_fetch_nodes(request.shard_id, digests)]
-                self.metrics.record_sync_sent(
-                    len(response.items),
-                    sum(len(data) for _, data in response.items))
-        elif op is Op.PUSH_NODES:
-            if request.publish:
-                response.mode_flag = True
-                roots = [None if raw is None else Digest(raw)
-                         for raw in (request.roots or [])]
-                expected = (None if request.expected is None
-                            else Digest(request.expected))
-                response.commit = _commit_info(self.service.publish_roots(
-                    request.branch, roots, message=request.message,
-                    expected_digest=expected))
-            else:
-                pairs = [(Digest(raw), data)
-                         for raw, data in (request.items or [])]
-                response.ack_count = self.service.shard_import_nodes(
-                    request.shard_id, pairs)
-                self.metrics.record_sync_received(
-                    len(pairs), sum(len(data) for _, data in pairs))
-        elif op is Op.SUBSCRIBE:
-            branch = request.branch or self.service.default_branch
-            if (not self.service.has_branch(branch)
-                    and branch != self.service.default_branch):
-                raise UnknownBranchError(branch)
-            response.cursor_version = request.version
-            response.cursor_offset = 0
-        elif op is Op.POLL_FEED:
-            from repro.query.feed import FeedCursor, poll_feed
-            branch = request.branch or self.service.default_branch
-            events, cursor, up_to_date = poll_feed(
-                self.service, branch,
-                FeedCursor(request.version, request.feed_offset),
-                limit=request.limit or None,
-                filter=request.prefix)
-            response.events = [
-                (event.version, event.digest.raw, event.key,
-                 event.old, event.new)
-                for event in events]
-            response.cursor_version = cursor.version
-            response.cursor_offset = cursor.offset
-            response.up_to_date = up_to_date
-        else:  # pragma: no cover - decode_request validates the opcode
-            raise ProtocolError(f"unhandled op: {op!r}")
+        response = Response(status=Status.OK, op=request.op,
+                            request_id=request.request_id)
+        HANDLERS[request.op](self, request, response)
         return response
 
-    def _resolve_commit(self, version: Optional[int]) -> ServiceCommit:
-        """A commit record for ``version`` (default branch head if None)."""
-        if version is None:
-            return self.service.branch_head(self.service.default_branch)
-        snapshot = self.service.snapshot(version)
-        assert snapshot.commit is not None
-        return snapshot.commit
+    # One handler per op, named ``_op_<op name>``; each fills in the
+    # response attributes its schema row (protocol.SCHEMA) sends back.
 
-    def _scan(self, request: Request) -> Tuple[List[Tuple[bytes, bytes]], bool]:
-        records = self.executor.scan(version=request.version)
+    def _op_ping(self, request: Request, response: Response) -> None:
+        pass
+
+    def _op_get(self, request: Request, response: Response) -> None:
+        response.value = self.service.get(
+            request.key, default=None, version=request.version)
+
+    def _op_get_many(self, request: Request, response: Response) -> None:
+        response.values = self.executor.get_many(
+            request.keys, version=request.version)
+
+    def _op_put_many(self, request: Request, response: Response) -> None:
+        self.executor.put_many(request.items)
+        response.ack_count = len(request.items)
+
+    def _op_remove_many(self, request: Request, response: Response) -> None:
+        self.executor.remove_many(request.keys)
+        response.ack_count = len(request.keys)
+
+    def _op_scan(self, request: Request, response: Response) -> None:
         start, stop, prefix = request.start, request.stop, request.prefix
-        selected: List[Tuple[bytes, bytes]] = []
-        truncated = False
-        for key, value in records:
+        selected = response.items = []
+        for key, value in self.executor.scan(version=request.version):
             if start is not None and key < start:
                 continue
             if stop is not None and key >= stop:
@@ -560,24 +466,40 @@ class RepositoryServer:
                         break
                     continue
             if request.limit and len(selected) >= request.limit:
-                truncated = True
+                response.truncated = True
                 break
             selected.append((key, value))
-        return selected, truncated
 
-    def _prove(self, request: Request) -> WireProof:
-        """Build a proof answer plus the shard root anchoring it."""
-        key = request.key
-        if request.version is None:
-            commit = self.service.branch_head(self.service.default_branch)
-        else:
-            commit = self.service.snapshot(request.version).commit
-        snapshot = self.service.snapshot(commit)
-        shard_id = self.service.shard_of(key)
+    def _op_diff(self, request: Request, response: Response) -> None:
+        left = (request.version if request.version is not None
+                else self.service.snapshot())
+        entries = self.executor.diff(left, request.right_version).entries
+        response.diff_entries = [(e.key, e.left, e.right) for e in entries]
+
+    def _op_commit(self, request: Request, response: Response) -> None:
+        response.commit = _commit_info(self.executor.commit(request.message))
+
+    def _op_snapshot(self, request: Request, response: Response) -> None:
+        response.commit = _commit_info(self._commit_at(request.version))
+
+    def _op_branches(self, request: Request, response: Response) -> None:
+        response.branches = self.repository.branches()
+
+    def _op_branch_create(self, request: Request, response: Response) -> None:
+        self.repository.create_branch(request.branch, request.from_branch)
+        self._op_branch_head(request, response)
+
+    def _op_branch_head(self, request: Request, response: Response) -> None:
+        response.commit = _commit_info(self.service.branch_head(request.branch))
+
+    def _op_prove(self, request: Request, response: Response) -> None:
+        # The proof answer plus the shard root anchoring it.
+        snapshot = self.service.snapshot(self._commit_at(request.version))
+        shard_id = self.service.shard_of(request.key)
         shard_snap = snapshot.shards[shard_id]
-        proof = shard_snap.prove(key)
+        proof = shard_snap.prove(request.key)
         root = shard_snap.root_digest
-        return WireProof(
+        response.proof = WireProof(
             key=proof.key,
             value=proof.value,
             index_name=proof.index_name,
@@ -585,6 +507,90 @@ class RepositoryServer:
             root=None if root is None else root.raw,
             steps=[(step.level, step.node_bytes) for step in proof.steps],
         )
+
+    def _op_fetch_heads(self, request: Request, response: Response) -> None:
+        response.num_shards = self.service.router.num_shards
+        response.heads = []
+        for branch in self.service.branches():
+            head = self.service.branch_head(branch)
+            response.heads.append(WireBranchHead(
+                branch=branch,
+                digest=head.digest.raw,
+                roots=tuple(None if root is None else root.raw
+                            for root in head.roots),
+                ancestry=tuple(
+                    digest.raw for digest
+                    in self.service.ancestry_digests(branch)),
+            ))
+
+    def _op_fetch_nodes(self, request: Request, response: Response) -> None:
+        digests = [Digest(raw) for raw in request.digests]
+        response.mode_flag = request.missing_only
+        if request.missing_only:
+            response.digests = [
+                digest.raw for digest in self.service.shard_missing_digests(
+                    request.shard_id, digests)]
+        else:
+            response.items = [
+                (digest.raw, data) for digest, data
+                in self.service.shard_fetch_nodes(request.shard_id, digests)]
+            self.metrics.record_sync_sent(
+                len(response.items),
+                sum(len(data) for _, data in response.items))
+
+    def _op_push_nodes(self, request: Request, response: Response) -> None:
+        response.mode_flag = request.publish
+        if request.publish:
+            roots = [None if raw is None else Digest(raw)
+                     for raw in request.roots]
+            expected = (None if request.expected is None
+                        else Digest(request.expected))
+            response.commit = _commit_info(self.service.publish_roots(
+                request.branch, roots, message=request.message,
+                expected_digest=expected))
+        else:
+            pairs = [(Digest(raw), data) for raw, data in request.items]
+            response.ack_count = self.service.shard_import_nodes(
+                request.shard_id, pairs)
+            self.metrics.record_sync_received(
+                len(pairs), sum(len(data) for _, data in pairs))
+
+    def _op_subscribe(self, request: Request, response: Response) -> None:
+        branch = request.branch or self.service.default_branch
+        if (not self.service.has_branch(branch)
+                and branch != self.service.default_branch):
+            raise UnknownBranchError(branch)
+        response.cursor_version = request.version
+        response.cursor_offset = 0
+
+    def _op_poll_feed(self, request: Request, response: Response) -> None:
+        from repro.query.feed import FeedCursor, poll_feed
+        branch = request.branch or self.service.default_branch
+        events, cursor, up_to_date = poll_feed(
+            self.service, branch,
+            FeedCursor(request.version, request.feed_offset),
+            limit=request.limit or None,
+            filter=request.prefix)
+        response.events = [
+            (event.version, event.digest.raw, event.key,
+             event.old, event.new)
+            for event in events]
+        response.cursor_version = cursor.version
+        response.cursor_offset = cursor.offset
+        response.up_to_date = up_to_date
+
+    def _commit_at(self, version: Optional[int]) -> ServiceCommit:
+        """The commit record of ``version`` (default branch head if None)."""
+        if version is None:
+            return self.service.branch_head(self.service.default_branch)
+        return self.service.snapshot(version).commit
+
+
+#: Op → handler, one per schema row: an op whose ``_op_<name>`` method is
+#: missing fails here, at import.
+HANDLERS: Dict[Op, Callable[[RepositoryServer, Request, Response], None]] = {
+    op: getattr(RepositoryServer, f"_op_{op.name.lower()}")
+    for op in protocol.SCHEMA}
 
 
 class ServerThread:

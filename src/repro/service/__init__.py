@@ -25,7 +25,8 @@ merged later.
   ``docs/STORAGE.md``.
 * :mod:`repro.service.engine` — the self-contained per-shard core
   (:class:`ShardEngine`: one index + store + cache, no locks, no
-  transport) and its in-process handle (:class:`ThreadShardHandle`).
+  transport), its command table, and the handle the service holds per
+  shard (:class:`ShardHandle`: the mutex over an engine or a worker pipe).
 * :mod:`repro.service.process` — the process-parallel shard backend
   (:class:`ProcessShardBackend`): one forked worker process per shard,
   commands over pickled per-shard pipes, so shard work escapes the GIL.
@@ -52,7 +53,7 @@ Quickstart::
 """
 
 from repro.service.batcher import ShardWriteBatcher
-from repro.service.engine import ShardEngine, ThreadShardHandle
+from repro.service.engine import ShardEngine, ShardHandle
 from repro.service.executor import ServiceExecutor, ShardExecutionError
 from repro.service.process import ProcessShardBackend
 from repro.service.service import (
@@ -70,7 +71,7 @@ __all__ = [
     "ServiceExecutor",
     "ShardExecutionError",
     "ShardEngine",
-    "ThreadShardHandle",
+    "ShardHandle",
     "ProcessShardBackend",
     "ServiceSnapshot",
     "ServiceCommit",

@@ -9,13 +9,15 @@ transport-free**: it assumes its caller serializes mutations, and every
 method speaks plain picklable values (digests, byte strings, op batches),
 so exactly the same engine runs in two placements:
 
-* **in-process** (``backend="thread"``) — wrapped by
-  :class:`ThreadShardHandle`, which adds the shard mutex and contention
-  accounting the service's concurrency model requires;
+* **in-process** (``backend="thread"``) — the :class:`ShardHandle`
+  carries the engine's own bound methods;
 * **out-of-process** (``backend="process"``) — owned by a forked worker
   (:mod:`repro.service.process`) that executes pickled engine commands
   arriving over a per-shard command pipe, escaping the GIL for the
   hash/encode-heavy flush and lookup work.
+
+Either way the service holds one :class:`ShardHandle` per shard, and
+what crosses its boundary is named once, in :data:`SHARD_COMMANDS`.
 
 Running the *same* engine code under both backends is what makes the
 cross-backend differential suite meaningful: byte-identical shard roots
@@ -25,6 +27,7 @@ and commit digests fall out of construction, and the equivalence tests
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -126,14 +129,6 @@ class ShardEngine:
     def head_root(self) -> Optional[Digest]:
         """Root digest of the current working head."""
         return self.head.root_digest
-
-    def head_state(self) -> Tuple[Optional[Digest], Optional[int]]:
-        """``(root, cached record count)`` of the working head.
-
-        The count is ``None`` when not cached; remote head views use it to
-        answer ``len()`` without a second round trip when available.
-        """
-        return self.head.root_digest, self.head._record_count
 
     def set_head(self, root: Optional[Digest],
                  posting_roots: Optional[Dict[str, Optional[Digest]]] = None) -> None:
@@ -316,7 +311,8 @@ class ShardEngine:
 
     # -- writes ------------------------------------------------------------
 
-    def apply_ops(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
+    def apply_ops(self, puts: Dict[bytes, bytes],
+                  removes: Iterable[bytes]) -> Tuple[Optional[Digest], Optional[int]]:
         """Apply one drained write batch to the head (a no-op when empty).
 
         This is the flush body: the batch goes through the index's batched
@@ -324,31 +320,26 @@ class ShardEngine:
         is flushed (the durability barrier — a SegmentNodeStore writes the
         DATA records plus a COMMIT marker and fsyncs), and the new root is
         appended to the shard's history.
+
+        Returns the resulting head as ``(root, cached record count or
+        None)``.  This makes it the one-round-trip command behind the
+        commit protocol's *prepare* phase: once it returns, the batch is
+        applied **and** durable, and the root is the shard's contribution
+        to the cut.
         """
         removes = list(removes)
-        if not puts and not removes:
-            return
-        started = time.perf_counter()
-        if self.index_defs:
-            self.posting_heads = self._advance_postings(
-                self.posting_heads,
-                self._changed_entries(self.head.root_digest, puts, removes))
-        self.head = self.head.update(puts, removes=removes)
-        self.store_flush()
-        self.flush_seconds += time.perf_counter() - started
-        self.history.append(self.head.root_digest)
-        self.flushes += 1
-
-    def flush_head(self, puts: Dict[bytes, bytes],
-                   removes: Iterable[bytes]) -> Tuple[Optional[Digest], Optional[int]]:
-        """Apply a batch and return the resulting :meth:`head_state`.
-
-        The one-round-trip command behind the commit protocol's *prepare*
-        phase: after it returns, the batch is applied **and** durable, and
-        the returned root is the shard's contribution to the cut.
-        """
-        self.apply_ops(puts, removes)
-        return self.head_state()
+        if puts or removes:
+            started = time.perf_counter()
+            if self.index_defs:
+                self.posting_heads = self._advance_postings(
+                    self.posting_heads,
+                    self._changed_entries(self.head.root_digest, puts, removes))
+            self.head = self.head.update(puts, removes=removes)
+            self.store_flush()
+            self.flush_seconds += time.perf_counter() - started
+            self.history.append(self.head.root_digest)
+            self.flushes += 1
+        return self.head.root_digest, self.head._record_count
 
     def load_batch(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
         """Bulk-ingest an already-routed batch as one batched write.
@@ -558,27 +549,64 @@ class ShardEngine:
             close()
 
 
-class ThreadShardHandle:
-    """In-process shard handle: a :class:`ShardEngine` behind the shard mutex.
+#: The shard command table: every :class:`ShardEngine` method that may be
+#: invoked through a :class:`ShardHandle`, by name.  It is the one
+#: definition of the handle boundary — the handle's command methods, the
+#: worker loop's dispatch (:func:`repro.service.process.shard_worker_main`)
+#: and lint rule L4's pickle-boundary checks are all generated from it.
+#: A command's arguments and result must be plain picklable values.
+SHARD_COMMANDS: Tuple[str, ...] = (
+    "describe",
+    "reset_head", "head_root", "set_head",
+    "register_index", "posting_heads_state", "postings_for", "write_at_indexed",
+    "apply_ops", "load_batch", "write_at", "store_flush",
+    "lookup_head", "lookup_at", "scan", "scan_range", "count_at", "diff",
+    "prove", "node_digests",
+    "collect", "history_copy", "metrics", "reset_counters", "storage_bytes",
+    "export_nodes",
+    "missing_digests", "fetch_nodes", "import_nodes",
+    "close_store",
+)
 
-    This is the ``backend="thread"`` placement.  The handle adds what the
-    engine deliberately lacks — the per-shard lock and its contention
-    counters — and exposes the command surface the service routes through,
-    so the service code is identical across backends.  Acquire the lock
-    via the handle's context-manager protocol (``with handle:``) so every
-    wait is recorded in the contention counters.
+
+class ShardHandle:
+    """One shard as the service sees it: the command table behind a mutex.
+
+    The handle adds what the engine deliberately lacks — the per-shard
+    lock and its contention counters (acquire it with ``with handle:`` so
+    every wait is recorded) — and carries one method per
+    :data:`SHARD_COMMANDS` row.  Given an ``engine``
+    (``backend="thread"``) each is the engine's own bound method; given a
+    ``pipe`` (``backend="process"``, a
+    :class:`~repro.service.process.PipeTransport`) each is one pickled
+    round trip to the shard's worker.  The service code is therefore
+    identical across backends; only the commands written out below are
+    more than a table row.
+
+    Locking discipline is the caller's: commands that touch the working
+    head (``lookup_head``, ``apply_ops``, ``set_head``, ``collect``, …)
+    are issued under the handle's lock; commands on a committed root
+    (``lookup_at``, ``scan_range``, ``fetch_nodes``, …) are lock-free,
+    because roots are immutable.
     """
 
-    __slots__ = ("engine", "lock", "contention")
-
-    def __init__(self, engine: ShardEngine):
-        self.engine = engine
+    def __init__(self, shard_id: int, engine: Optional[ShardEngine] = None,
+                 pipe=None):
+        #: This shard's id (its position in the service's shard list).
+        self.shard_id = shard_id
         self.lock = threading.Lock()
         self.contention = ContentionCounters()
+        #: The shard's engine when it lives in this process, else ``None``.
+        self.engine = engine
+        #: The transport to the shard's worker process, else ``None``.
+        self.pipe = pipe
+        for method in SHARD_COMMANDS:
+            setattr(self, method, getattr(engine, method) if pipe is None
+                    else functools.partial(pipe.call, method))
 
     # -- locking -----------------------------------------------------------
 
-    def __enter__(self) -> "ThreadShardHandle":
+    def __enter__(self) -> "ShardHandle":
         # Fast path: an uncontended acquire costs one non-blocking attempt.
         if not self.lock.acquire(blocking=False):
             started = time.perf_counter()
@@ -591,187 +619,67 @@ class ThreadShardHandle:
     def __exit__(self, *exc_info) -> None:
         self.lock.release()
 
-    # -- direct engine access (tests, benchmarks, storage drills) ----------
+    # -- placement ---------------------------------------------------------
 
     @property
-    def shard_id(self) -> int:
-        """This shard's id (its position in the service's shard list)."""
-        return self.engine.shard_id
+    def pid(self) -> Optional[int]:
+        """OS pid of the shard's worker process (process backend only)."""
+        return self.pipe.pid
 
     @property
-    def backing(self) -> NodeStore:
-        """The shard's backing node store (under the cache, if any)."""
-        return self.engine.backing
+    def is_alive(self) -> bool:
+        """Whether the shard's worker is still serving (process backend only)."""
+        return self.pipe.is_alive
 
-    @property
-    def store(self) -> NodeStore:
-        """The store the index writes through (the cache when enabled)."""
-        return self.engine.store
-
-    @property
-    def cache(self) -> Optional[CachingNodeStore]:
-        """The shard's read-through cache (``None`` when disabled)."""
-        return self.engine.cache
-
-    @property
-    def index(self) -> SIRIIndex:
-        """The shard's index instance."""
-        return self.engine.index
-
-    @property
-    def head(self) -> IndexSnapshot:
-        """The shard's working head snapshot."""
-        return self.engine.head
-
-    @property
-    def history(self) -> List[Optional[Digest]]:
-        """The shard's root-version history (live list — copy under lock)."""
-        return self.engine.history
-
-    # -- command surface (shared with ProcessShardHandle) ------------------
-
-    def describe(self) -> str:
-        """Name of the index structure this shard runs."""
-        return self.engine.describe()
-
-    def reset_head(self, root: Optional[Digest],
-                   posting_roots: Optional[Dict[str, Optional[Digest]]] = None) -> None:
-        """Reset the working head (and history) at ``root``."""
-        self.engine.reset_head(root, posting_roots)
-
-    def register_index(self, definition: IndexDefinition) -> Optional[Digest]:
-        """Register a secondary index (caller holds the lock)."""
-        return self.engine.register_index(definition)
-
-    def posting_heads_state(self) -> Dict[str, Optional[Digest]]:
-        """Posting roots of the working head (caller holds the lock)."""
-        return self.engine.posting_heads_state()
-
-    def postings_for(
-        self,
-        primary_root: Optional[Digest],
-        base_primary: Optional[Digest] = None,
-        base_postings: Optional[Dict[str, Optional[Digest]]] = None,
-    ) -> Dict[str, Optional[Digest]]:
-        """Diff-driven posting roots for an already-built primary root."""
-        return self.engine.postings_for(primary_root, base_primary, base_postings)
-
-    def write_at_indexed(
-        self,
-        root: Optional[Digest],
-        puts: Dict[bytes, bytes],
-        removes: Iterable[bytes],
-        base_postings: Optional[Dict[str, Optional[Digest]]],
-    ) -> Tuple[Optional[Digest], Dict[str, Optional[Digest]],
-               List[Tuple[bytes, Optional[bytes], Optional[bytes]]]]:
-        """Branch-commit write plus posting maintenance (caller holds the lock)."""
-        return self.engine.write_at_indexed(root, puts, removes, base_postings)
-
-    def scan_range(self, root: Optional[Digest], start: Optional[bytes],
-                   stop: Optional[bytes]) -> List[Tuple[bytes, bytes]]:
-        """Range-scan ``root`` (lock-free; roots are immutable)."""
-        return self.engine.scan_range(root, start, stop)
-
-    def head_root(self) -> Optional[Digest]:
-        """Root digest of the working head (caller holds the lock)."""
-        return self.engine.head_root()
-
-    def lookup_head(self, key: bytes) -> Optional[bytes]:
-        """Read ``key`` from the working head (caller holds the lock)."""
-        return self.engine.lookup_head(key)
-
-    def lookup_at(self, root: Optional[Digest], key: bytes) -> Optional[bytes]:
-        """Read ``key`` from a committed root (lock-free)."""
-        return self.engine.lookup_at(root, key)
-
-    def apply_ops(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
-        """Apply a drained write batch (caller holds the lock)."""
-        self.engine.apply_ops(puts, removes)
-
-    def load_batch(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
-        """Bulk-ingest a routed batch (caller holds the lock)."""
-        self.engine.load_batch(puts, removes)
-
-    def set_head(self, root: Optional[Digest],
-                 posting_roots: Optional[Dict[str, Optional[Digest]]] = None) -> None:
-        """Advance the working head to ``root`` (caller holds the lock)."""
-        self.engine.set_head(root, posting_roots)
-
-    def write_at(self, root: Optional[Digest], puts: Dict[bytes, bytes],
-                 removes: Iterable[bytes]) -> Optional[Digest]:
-        """Copy-on-write a batch onto ``root`` (caller holds the lock)."""
-        return self.engine.write_at(root, puts, removes)
-
-    def store_flush(self) -> None:
-        """Durability barrier on the backing store (caller holds the lock)."""
-        self.engine.store_flush()
+    # -- commands that are more than a table row ---------------------------
 
     def flush_begin(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
-        """Stage one shard's *prepare*: apply the batch (synchronously here).
+        """Stage one shard's *prepare*: dispatch ``apply_ops``, don't wait.
 
         The two-phase commit protocol issues ``flush_begin`` on every
-        shard before collecting any result, so the process backend can
-        overlap the per-shard work; in-process there is nothing to
-        overlap and the batch is applied on the spot.
+        shard before collecting any result, which is what overlaps the
+        per-shard batch application and store fsyncs across worker
+        processes; in-process there is nothing to overlap and the batch
+        is applied on the spot.
         """
-        self.engine.apply_ops(puts, removes)
+        if self.pipe is None:
+            self.engine.apply_ops(puts, removes)
+        else:
+            self.pipe.send("apply_ops", (puts, removes))
 
-    def flush_finish(self) -> IndexSnapshot:
-        """Collect the staged prepare's result: the shard's head view."""
-        return self.engine.head
+    def flush_finish(self):
+        """Collect the staged prepare's result: the shard's new head view."""
+        if self.pipe is None:
+            return self.engine.head
+        return self.pipe.view(*self.pipe.recv("apply_ops"))
 
-    def head_view(self) -> IndexSnapshot:
-        """A view of the working head (caller holds the lock)."""
-        return self.engine.head
-
-    def view(self, root: Optional[Digest]) -> IndexSnapshot:
+    def view(self, root: Optional[Digest]):
         """An immutable view of ``root`` (lock-free; roots are immutable)."""
-        return self.engine.index.snapshot(root)
-
-    def collect(self, protected_roots: Iterable[Optional[Digest]]) -> GCCounters:
-        """Mark-and-sweep the shard store (caller holds the lock)."""
-        return self.engine.collect(protected_roots)
-
-    def history_copy(self) -> List[Optional[Digest]]:
-        """Copy the root history (caller holds the lock)."""
-        return self.engine.history_copy()
+        if self.pipe is None:
+            return self.engine.index.snapshot(root)
+        return self.pipe.view(root, None)
 
     def shard_metrics(self, include_records: bool = False) -> ShardMetrics:
-        """This shard's counters, contention included."""
-        metrics = self.engine.metrics(include_records)
+        """This shard's counters, the handle's lock contention merged in."""
+        metrics = self.metrics(include_records)
         metrics.contention = self.contention.copy()
         return metrics
 
     def reset_shard_counters(self) -> None:
         """Zero the shard's counters (caller holds the lock)."""
         self.contention = ContentionCounters()
-        self.engine.reset_counters()
-
-    def storage_bytes(self) -> int:
-        """Physical bytes in the shard's backing store."""
-        return self.engine.storage_bytes()
-
-    def export_nodes(self) -> List[Tuple[Digest, bytes]]:
-        """Every stored node as ``(digest, bytes)`` pairs."""
-        return self.engine.export_nodes()
-
-    def missing_digests(self, digests: Sequence[Digest]) -> List[Digest]:
-        """Digests of ``digests`` this shard does not hold (lock-free read)."""
-        return self.engine.missing_digests(digests)
-
-    def fetch_nodes(self, digests: Sequence[Digest]) -> List[Tuple[Digest, bytes]]:
-        """Canonical bytes for each requested digest (lock-free read)."""
-        return self.engine.fetch_nodes(digests)
-
-    def import_nodes(self, pairs: Sequence[Tuple[Digest, bytes]]) -> int:
-        """Verify and land transferred nodes (caller holds the lock)."""
-        return self.engine.import_nodes(pairs)
+        self.reset_counters()
 
     def set_fault(self, point: Optional[str]) -> None:
-        """Fault injection is a process-backend capability; always raises."""
-        raise NotImplementedError(
-            "fault injection kill-points require backend='process'")
+        """Arm (or clear, with ``None``) a kill-point in the shard's worker."""
+        if self.pipe is None:
+            raise NotImplementedError(
+                "fault injection kill-points require backend='process'")
+        self.pipe.call("set_fault", point)
 
     def close(self) -> None:
-        """Close the shard's backing store."""
-        self.engine.close_store()
+        """Close the shard's store (and stop its worker, if it has one)."""
+        if self.pipe is None:
+            self.engine.close_store()
+        else:
+            self.pipe.close()

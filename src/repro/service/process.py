@@ -13,14 +13,15 @@ per-shard flush/lookup work runs on independent interpreters:
   about.
 * **Command pipes** — each shard has a duplex pipe carrying pickled
   ``(method, args)`` engine commands parent→worker and ``("ok", result)``
-  / ``("error", exception)`` replies back.  The worker executes commands
-  strictly serially, which *is* the shard's mutual exclusion — the
-  parent-side :class:`ProcessShardHandle` adds the same shard mutex and
-  contention counters as the thread backend for the service's locking
-  discipline, plus a pipe lock that keeps concurrent lock-free reads
-  from interleaving frames on the wire.
+  / ``("error", exception)`` replies back; the commands are the rows of
+  :data:`~repro.service.engine.SHARD_COMMANDS`.  The worker executes
+  them strictly serially, which *is* the shard's mutual exclusion — the
+  parent-side :class:`~repro.service.engine.ShardHandle` keeps the shard
+  mutex and contention counters of the service's locking discipline,
+  over a :class:`PipeTransport` whose pipe lock keeps concurrent
+  lock-free reads from interleaving frames on the wire.
 * **Two-phase commits** — the service's control plane prepares a commit
-  by pipelining ``flush_head`` to every worker (apply + store fsync),
+  by pipelining ``apply_ops`` to every worker (apply + store fsync),
   collects the shard roots, and only then journals the cut once in the
   parent's MANIFEST.  A worker death during prepare surfaces as
   :class:`~repro.core.errors.ShardExecutionError` and the journal is
@@ -39,20 +40,18 @@ import os
 import pickle
 import signal
 import threading
-import time
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.diff import DiffResult
 from repro.core.errors import InvalidParameterError, ShardExecutionError
 from repro.core.interfaces import KeyLike, coerce_key
-from repro.core.metrics import ContentionCounters, GCCounters
 from repro.core.proof import MerkleProof, ProofStep
 from repro.hashing.digest import Digest
-from repro.service.engine import ShardEngine, ShardMetrics
+from repro.service.engine import SHARD_COMMANDS, ShardEngine, ShardHandle
 
 #: Kill-points a worker accepts via the ``set_fault`` command: ``"flush"``
 #: SIGKILLs the worker at the top of a *non-empty* batch application
-#: (mid-batch crash), ``"prepare"`` at the top of any ``flush_head`` /
+#: (mid-batch crash), ``"prepare"`` at the top of any ``apply_ops`` /
 #: ``store_flush`` command (the two-phase-commit prepare barrier).
 FAULT_POINTS = ("flush", "prepare")
 
@@ -79,108 +78,87 @@ def _picklable_exception(exc: BaseException) -> BaseException:
 def shard_worker_main(conn, engine_builder: Callable[[], ShardEngine]) -> None:
     """The worker process body: build the engine, serve commands until EOF.
 
-    Commands are ``(method, args)`` tuples resolved against the engine's
-    method surface, executed strictly in arrival order.  Engine exceptions
-    are replied as ``("error", exc)`` and re-raised on the caller's side
-    with their original type; only transport failures become
-    :class:`~repro.core.errors.ShardExecutionError` (in the parent).  Two
-    commands are handled outside the engine: ``set_fault`` arms a
-    kill-point (see :data:`FAULT_POINTS`) and ``shutdown`` closes the
-    store and exits the loop.
+    Commands are ``(method, args)`` tuples executed strictly in arrival
+    order.  The dispatch table is :data:`~repro.service.engine.SHARD_COMMANDS`
+    bound to this worker's engine, plus ``set_fault`` — which arms a
+    kill-point (see :data:`FAULT_POINTS`) checked in front of
+    ``apply_ops`` and ``store_flush``; ``close_store`` also ends the
+    loop.  Engine exceptions are replied as ``("error", exc)`` and
+    re-raised on the caller's side with their original type; only
+    transport failures become
+    :class:`~repro.core.errors.ShardExecutionError` (in the parent).
     """
     engine = engine_builder()
+    commands: Dict[str, Callable] = {
+        method: getattr(engine, method) for method in SHARD_COMMANDS}
     fault_point: Optional[str] = None
+
+    def set_fault(point: Optional[str]) -> None:
+        """Arm (or clear, with ``None``) the worker's kill-point."""
+        nonlocal fault_point
+        if point is not None and point not in FAULT_POINTS:
+            raise InvalidParameterError(
+                f"unknown fault point {point!r}; expected one of "
+                f"{FAULT_POINTS} or None")
+        fault_point = point
+
+    def apply_ops(puts, removes):
+        """``engine.apply_ops`` behind the ``flush``/``prepare`` kill-points."""
+        if fault_point == "prepare" or (
+                fault_point == "flush" and (puts or removes)):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return engine.apply_ops(puts, removes)
+
+    def store_flush() -> None:
+        """``engine.store_flush`` behind the ``prepare`` kill-point."""
+        if fault_point == "prepare":
+            os.kill(os.getpid(), signal.SIGKILL)
+        engine.store_flush()
+
+    commands.update(set_fault=set_fault, apply_ops=apply_ops,
+                    store_flush=store_flush)
     while True:
         try:
             method, args = conn.recv()
         except _PIPE_ERRORS:
             break  # parent went away: exit quietly, stores stay crash-safe
-        running = True
         try:
-            if method == "shutdown":
-                engine.close_store()
-                result = None
-                running = False
-            elif method == "set_fault":
-                point = args[0]
-                if point is not None and point not in FAULT_POINTS:
-                    raise InvalidParameterError(
-                        f"unknown fault point {point!r}; expected one of "
-                        f"{FAULT_POINTS} or None")
-                fault_point = point
-                result = None
-            elif method == "flush_head":
-                puts, removes = args
-                if fault_point == "prepare" or (
-                        fault_point == "flush" and (puts or removes)):
-                    os.kill(os.getpid(), signal.SIGKILL)
-                result = engine.flush_head(puts, removes)
-            elif method == "store_flush":
-                if fault_point == "prepare":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                result = engine.store_flush()
-            else:
-                result = getattr(engine, method)(*args)
+            if method not in commands:
+                raise InvalidParameterError(f"unknown shard command {method!r}")
+            reply = ("ok", commands[method](*args))
         # repro-lint: disable=L5-exception-policy — worker loop: the error is shipped to the parent over the pipe and re-raised there with its original type
         except BaseException as exc:  # engine errors travel to the caller
-            try:
-                conn.send(("error", _picklable_exception(exc)))
-            except _PIPE_ERRORS:
-                break
-            continue
+            reply = ("error", _picklable_exception(exc))
         try:
-            conn.send(("ok", result))
+            conn.send(reply)
         except _PIPE_ERRORS:
             break
-        if not running:
+        if method == "close_store" and reply[0] == "ok":
             break
 
 
-class ProcessShardHandle:
-    """Parent-side handle for one shard worker process.
+class PipeTransport:
+    """Parent-side end of one shard worker's command pipe.
 
-    Mirrors :class:`~repro.service.engine.ThreadShardHandle`'s command
-    surface, executing each command as one pipe round trip.  Two locks
-    with distinct jobs:
-
-    * ``lock`` (+ ``contention``) — the *shard mutex*, acquired by the
-      service exactly as in thread mode (``with handle:``) to serialize
-      logical shard mutations and record contention.
-    * the internal pipe lock — serializes raw pipe use, so lock-free
-      versioned reads can share the wire with locked mutations without
-      interleaving request/reply frames.
+    :meth:`send` pickles ``(method, args)`` to the worker and :meth:`recv`
+    collects the reply.  ``send`` takes the pipe lock and ``recv`` gives
+    it back, so a command and its reply are never interleaved with
+    another thread's — lock-free versioned reads share the wire with
+    locked mutations — and a command may stay in flight between the two
+    calls (the split-phase flush of the commit protocol).
 
     A dead worker (SIGKILL, OOM, crash) surfaces as
     :class:`~repro.core.errors.ShardExecutionError` naming the shard and
-    the in-flight command; the handle then stays dead — every later
+    the in-flight command; the transport then stays dead — every later
     command fails fast the same way until the service is reopened.
     """
 
     def __init__(self, shard_id: int, process, conn):
         self.shard_id = shard_id
-        self.lock = threading.Lock()
-        self.contention = ContentionCounters()
         self._process = process
         self._conn = conn
-        self._pipe_lock = threading.Lock()
-        self._staged: Optional[str] = None
+        self._lock = threading.Lock()
         self._alive = True
-
-    # -- locking (the shard mutex; identical to the thread handle) ---------
-
-    def __enter__(self) -> "ProcessShardHandle":
-        if not self.lock.acquire(blocking=False):
-            started = time.perf_counter()
-            self.lock.acquire()
-            self.contention.contended += 1
-            self.contention.wait_seconds += time.perf_counter() - started
-        self.contention.acquisitions += 1
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.lock.release()
-
-    # -- transport ---------------------------------------------------------
 
     @property
     def pid(self) -> Optional[int]:
@@ -189,206 +167,57 @@ class ProcessShardHandle:
 
     @property
     def is_alive(self) -> bool:
-        """Whether the handle still believes its worker is serving."""
+        """Whether the transport still believes its worker is serving."""
         return self._alive and self._process.is_alive()
 
     def _dead(self, method: str, cause: BaseException) -> ShardExecutionError:
         self._alive = False
         return ShardExecutionError(self.shard_id, method, cause)
 
-    def _send(self, method: str, args: Tuple) -> None:
-        if not self._alive:
-            raise ShardExecutionError(
-                self.shard_id, method,
-                RuntimeError("shard worker process is dead; reopen() the "
-                             "service to restart it"))
+    def send(self, method: str, args: Tuple) -> None:
+        """Ship one command; the pipe is held until :meth:`recv`."""
+        self._lock.acquire()
         try:
-            self._conn.send((method, args))
-        except _PIPE_ERRORS as exc:
-            raise self._dead(method, exc) from exc
+            if not self._alive:
+                raise ShardExecutionError(
+                    self.shard_id, method,
+                    RuntimeError("shard worker process is dead; reopen() the "
+                                 "service to restart it"))
+            try:
+                self._conn.send((method, args))
+            except _PIPE_ERRORS as exc:
+                raise self._dead(method, exc) from exc
+        except BaseException:
+            self._lock.release()
+            raise
 
-    def _recv(self, method: str):
+    def recv(self, method: str):
+        """Collect the reply to the command in flight and unwrap it."""
         try:
             status, payload = self._conn.recv()
         except _PIPE_ERRORS as exc:
             raise self._dead(method, exc) from exc
+        finally:
+            self._lock.release()
         if status == "error":
             raise payload
         return payload
 
     def call(self, method: str, *args):
-        """One command round trip: send, await the reply, unwrap it."""
-        with self._pipe_lock:
-            self._send(method, args)
-            return self._recv(method)
+        """One command round trip."""
+        self.send(method, args)
+        return self.recv(method)
 
-    # -- command surface (shared with ThreadShardHandle) -------------------
-
-    def describe(self) -> str:
-        """Name of the index structure this shard runs."""
-        return self.call("describe")
-
-    def reset_head(self, root: Optional[Digest],
-                   posting_roots: Optional[Dict[str, Optional[Digest]]] = None) -> None:
-        """Reset the worker's working head (and history) at ``root``."""
-        self.call("reset_head", root, posting_roots)
-
-    def register_index(self, definition) -> Optional[Digest]:
-        """Register a secondary index in the worker (definition is pickled)."""
-        return self.call("register_index", definition)
-
-    def posting_heads_state(self) -> Dict[str, Optional[Digest]]:
-        """Posting roots of the worker's working head."""
-        return self.call("posting_heads_state")
-
-    def postings_for(
-        self,
-        primary_root: Optional[Digest],
-        base_primary: Optional[Digest] = None,
-        base_postings: Optional[Dict[str, Optional[Digest]]] = None,
-    ) -> Dict[str, Optional[Digest]]:
-        """Diff-driven posting roots for an already-built primary root."""
-        return self.call("postings_for", primary_root, base_primary, base_postings)
-
-    def write_at_indexed(
-        self,
-        root: Optional[Digest],
-        puts: Dict[bytes, bytes],
-        removes: Iterable[bytes],
-        base_postings: Optional[Dict[str, Optional[Digest]]],
-    ) -> Tuple[Optional[Digest], Dict[str, Optional[Digest]],
-               List[Tuple[bytes, Optional[bytes], Optional[bytes]]]]:
-        """Branch-commit write plus posting maintenance, in the worker.
-
-        The third element is the worker-computed ``(key, old, new)``
-        delta — it rides back over the pipe so the parent can feed the
-        service's per-commit change log without re-reading the shard.
-        """
-        return self.call("write_at_indexed", root, puts, list(removes),
-                         base_postings)
-
-    def scan_range(self, root: Optional[Digest], start: Optional[bytes],
-                   stop: Optional[bytes]) -> List[Tuple[bytes, bytes]]:
-        """Range-scan ``root`` in the worker (pipe lock only)."""
-        return self.call("scan_range", root, start, stop)
-
-    def head_root(self) -> Optional[Digest]:
-        """Root digest of the worker's working head."""
-        return self.call("head_root")
-
-    def lookup_head(self, key: bytes) -> Optional[bytes]:
-        """Read ``key`` from the working head."""
-        return self.call("lookup_head", key)
-
-    def lookup_at(self, root: Optional[Digest], key: bytes) -> Optional[bytes]:
-        """Read ``key`` from a committed root (pipe lock only)."""
-        return self.call("lookup_at", root, key)
-
-    def apply_ops(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
-        """Apply a drained write batch in the worker."""
-        self.call("flush_head", puts, list(removes))
-
-    def load_batch(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
-        """Bulk-ingest a routed batch in the worker."""
-        self.call("load_batch", puts, list(removes))
-
-    def set_head(self, root: Optional[Digest],
-                 posting_roots: Optional[Dict[str, Optional[Digest]]] = None) -> None:
-        """Advance the worker's working head to ``root``."""
-        self.call("set_head", root, posting_roots)
-
-    def write_at(self, root: Optional[Digest], puts: Dict[bytes, bytes],
-                 removes: Iterable[bytes]) -> Optional[Digest]:
-        """Copy-on-write a batch onto ``root`` in the worker."""
-        return self.call("write_at", root, puts, list(removes))
-
-    def store_flush(self) -> None:
-        """Durability barrier on the worker's backing store."""
-        self.call("store_flush")
-
-    def flush_begin(self, puts: Dict[bytes, bytes], removes: Iterable[bytes]) -> None:
-        """Stage the *prepare* phase: dispatch ``flush_head``, don't wait.
-
-        Acquires the pipe lock and holds it until :meth:`flush_finish`
-        collects the reply, so nothing can interleave on the wire while
-        the command is in flight.  Issuing ``flush_begin`` on every shard
-        before any ``flush_finish`` is what overlaps the per-shard
-        prepare work across worker processes.
-        """
-        self._pipe_lock.acquire()
-        try:
-            self._send("flush_head", (puts, list(removes)))
-            self._staged = "flush_head"
-        except BaseException:
-            self._pipe_lock.release()
-            raise
-
-    def flush_finish(self) -> "RemoteShardView":
-        """Collect a staged prepare's reply: the shard's new head view."""
-        try:
-            root, count = self._recv(self._staged or "flush_head")
-        finally:
-            self._staged = None
-            self._pipe_lock.release()
-        return RemoteShardView(self, root, count)
-
-    def head_view(self) -> "RemoteShardView":
-        """A view of the worker's current head."""
-        root, count = self.call("head_state")
-        return RemoteShardView(self, root, count)
-
-    def view(self, root: Optional[Digest]) -> "RemoteShardView":
+    def view(self, root: Optional[Digest],
+             record_count: Optional[int]) -> "RemoteShardView":
         """An immutable view of ``root``, served by the worker."""
-        return RemoteShardView(self, root, None)
-
-    def collect(self, protected_roots: Iterable[Optional[Digest]]) -> GCCounters:
-        """Mark-and-sweep the worker's store down to the protected roots."""
-        return self.call("collect", set(protected_roots))
-
-    def history_copy(self) -> List[Optional[Digest]]:
-        """Copy of the worker's root-version history."""
-        return self.call("history_copy")
-
-    def shard_metrics(self, include_records: bool = False) -> ShardMetrics:
-        """The worker's counters, parent-side contention merged in."""
-        metrics = self.call("metrics", include_records)
-        metrics.contention = self.contention.copy()
-        return metrics
-
-    def reset_shard_counters(self) -> None:
-        """Zero the shard's counters on both sides of the pipe."""
-        self.contention = ContentionCounters()
-        self.call("reset_counters")
-
-    def storage_bytes(self) -> int:
-        """Physical bytes in the worker's backing store."""
-        return self.call("storage_bytes")
-
-    def export_nodes(self) -> List[Tuple[Digest, bytes]]:
-        """Every stored node as ``(digest, bytes)`` pairs (for parking)."""
-        return self.call("export_nodes")
-
-    def missing_digests(self, digests) -> List[Digest]:
-        """Digests of ``digests`` the worker's store does not hold."""
-        return self.call("missing_digests", list(digests))
-
-    def fetch_nodes(self, digests) -> List[Tuple[Digest, bytes]]:
-        """Canonical bytes for each requested digest, from the worker."""
-        return self.call("fetch_nodes", list(digests))
-
-    def import_nodes(self, pairs) -> int:
-        """Verify and land transferred nodes in the worker's store."""
-        return self.call("import_nodes", list(pairs))
-
-    def set_fault(self, point: Optional[str]) -> None:
-        """Arm (or clear, with ``None``) a worker kill-point."""
-        self.call("set_fault", point)
+        return RemoteShardView(self, root, record_count)
 
     def close(self) -> None:
         """Shut the worker down: graceful command first, SIGTERM fallback."""
         if self._alive:
             try:
-                self.call("shutdown")
+                self.call("close_store")
             except ShardExecutionError:
                 pass  # already dead: nothing graceful left to do
         self._alive = False
@@ -415,11 +244,11 @@ class RemoteShardView:
     unprotected root.
     """
 
-    __slots__ = ("_handle", "root_digest", "_record_count")
+    __slots__ = ("_transport", "root_digest", "_record_count")
 
-    def __init__(self, handle: ProcessShardHandle, root: Optional[Digest],
+    def __init__(self, transport: PipeTransport, root: Optional[Digest],
                  record_count: Optional[int] = None):
-        self._handle = handle
+        self._transport = transport
         #: Root digest of the viewed version (``None`` = empty shard).
         self.root_digest = root
         self._record_count = record_count
@@ -431,7 +260,7 @@ class RemoteShardView:
 
     def get(self, key: KeyLike, default: Optional[bytes] = None) -> Optional[bytes]:
         """Return the value bound to ``key`` or ``default`` when absent."""
-        value = self._handle.lookup_at(self.root_digest, coerce_key(key))
+        value = self._transport.call("lookup_at", self.root_digest, coerce_key(key))
         return value if value is not None else default
 
     def __contains__(self, key: KeyLike) -> bool:
@@ -439,7 +268,7 @@ class RemoteShardView:
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Iterate ``(key, value)`` records in ascending key order."""
-        return iter(self._handle.call("scan", self.root_digest))
+        return iter(self._transport.call("scan", self.root_digest))
 
     def items_range(self, start: Optional[bytes] = None,
                     stop: Optional[bytes] = None) -> Iterator[Tuple[bytes, bytes]]:
@@ -448,7 +277,7 @@ class RemoteShardView:
         The range is pruned worker-side (the engine's ``scan_range``), so
         only the matching records cross the pipe.
         """
-        return iter(self._handle.call("scan_range", self.root_digest, start, stop))
+        return iter(self._transport.call("scan_range", self.root_digest, start, stop))
 
     def keys(self) -> Iterator[bytes]:
         """Iterate keys in ascending order."""
@@ -466,24 +295,24 @@ class RemoteShardView:
 
     def __len__(self) -> int:
         if self._record_count is None:
-            self._record_count = self._handle.call("count_at", self.root_digest)
+            self._record_count = self._transport.call("count_at", self.root_digest)
         return self._record_count
 
     def update(self, puts: Optional[Dict] = None, removes: Iterable = ()) -> "RemoteShardView":
         """Copy-on-write a batch onto this view; returns the new view."""
         coerced_puts = {coerce_key(k): v for k, v in (puts or {}).items()}
         coerced_removes = [coerce_key(k) for k in removes]
-        new_root = self._handle.write_at(
-            self.root_digest, coerced_puts, coerced_removes)
-        return RemoteShardView(self._handle, new_root, None)
+        new_root = self._transport.call(
+            "write_at", self.root_digest, coerced_puts, coerced_removes)
+        return RemoteShardView(self._transport, new_root, None)
 
     def diff(self, other: "RemoteShardView") -> DiffResult:
         """Structural diff against another view of the *same* shard."""
-        if not isinstance(other, RemoteShardView) or other._handle is not self._handle:
+        if not isinstance(other, RemoteShardView) or other._transport is not self._transport:
             raise InvalidParameterError(
                 "RemoteShardView.diff requires a view of the same shard "
                 "worker (cross-shard diffs go through the service)")
-        return self._handle.call("diff", self.root_digest, other.root_digest)
+        return self._transport.call("diff", self.root_digest, other.root_digest)
 
     def prove(self, key: KeyLike) -> MerkleProof:
         """A Merkle proof for ``key`` under this view's root.
@@ -494,7 +323,7 @@ class RemoteShardView:
         — the same trust model as proofs shipped over the wire protocol.
         """
         key_bytes = coerce_key(key)
-        value, index_name, steps = self._handle.call(
+        value, index_name, steps = self._transport.call(
             "prove", self.root_digest, key_bytes)
         return MerkleProof(
             key=key_bytes,
@@ -505,11 +334,11 @@ class RemoteShardView:
 
     def node_digests(self):
         """The page (node digest) set reachable from this view's root."""
-        return self._handle.call("node_digests", self.root_digest)
+        return self._transport.call("node_digests", self.root_digest)
 
     def __repr__(self) -> str:
         root = self.root_hex
-        return (f"RemoteShardView(shard={self._handle.shard_id}, "
+        return (f"RemoteShardView(shard={self._transport.shard_id}, "
                 f"root={root[:12] if root else None})")
 
 
@@ -532,13 +361,13 @@ class ProcessShardBackend:
                 "(POSIX only)") from exc
 
     def start(self, engine_builders: List[Callable[[], ShardEngine]]
-              ) -> List[ProcessShardHandle]:
+              ) -> List[ShardHandle]:
         """Fork one worker per builder; returns the shard handles in order.
 
         Workers are daemonic, so stray processes die with the parent even
         if a test forgets to close the service.
         """
-        handles: List[ProcessShardHandle] = []
+        handles: List[ShardHandle] = []
         for shard_id, builder in enumerate(engine_builders):
             parent_conn, child_conn = self._context.Pipe(duplex=True)
             process = self._context.Process(
@@ -546,5 +375,6 @@ class ProcessShardBackend:
                 name=f"repro-shard-{shard_id}", daemon=True)
             process.start()
             child_conn.close()  # the worker owns its end now
-            handles.append(ProcessShardHandle(shard_id, process, parent_conn))
+            handles.append(ShardHandle(
+                shard_id, pipe=PipeTransport(shard_id, process, parent_conn)))
         return handles

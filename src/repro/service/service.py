@@ -85,7 +85,7 @@ from repro.query.definition import (
     posting_range,
 )
 from repro.service.batcher import ShardWriteBatcher
-from repro.service.engine import ShardEngine, ShardMetrics, ThreadShardHandle
+from repro.service.engine import ShardEngine, ShardHandle, ShardMetrics
 from repro.service.process import ProcessShardBackend
 from repro.service.sharding import ShardRouter
 from repro.storage.cache import CachingNodeStore
@@ -443,7 +443,6 @@ class VersionedKVService:
         #: reopen() (process backend: the stores die with their workers,
         #: so their *content* is pulled across the pipe and re-seeded).
         self._parked_nodes: Optional[List[Optional[List[Tuple[Digest, bytes]]]]] = None
-        self._process_backend: Optional[ProcessShardBackend] = None
         self._opened = False
         # Serializes commit-record creation and the cross-shard root cut.
         self._commit_lock = threading.Lock()
@@ -479,24 +478,14 @@ class VersionedKVService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _make_backing(self, shard_id: int) -> NodeStore:
-        if self._parked_backings is not None:
-            return self._parked_backings[shard_id]
-        if self._store_factory is not None:
-            return self._store_factory()
-        if self.directory is not None:
-            return SegmentNodeStore(
-                os.path.join(self.directory, f"shard-{shard_id:02d}"),
-                segment_capacity_bytes=self._segment_capacity_bytes,
-            )
-        return InMemoryNodeStore()
-
     def _engine_builder(self, shard_id: int) -> Callable[[], ShardEngine]:
-        """A zero-argument builder of one shard's engine, for a worker.
+        """A zero-argument builder of one shard's engine, for either backend.
 
-        The closure captures plain configuration (and, on an in-memory
-        reopen, the shard's parked node pairs) and is executed **inside
-        the forked worker**, so the shard's store is created, owned and
+        The closure captures plain configuration and whatever the last
+        in-memory ``close()`` parked for this shard (the thread backend
+        parks the store object itself, the process backend the node pairs
+        it exported).  On the process backend it is executed **inside the
+        forked worker**, so the shard's store is created, owned and
         closed entirely by the process that serves it — the parent never
         holds a shard store file descriptor in process mode.
         """
@@ -505,13 +494,17 @@ class VersionedKVService:
         directory = self.directory
         cache_bytes = self._cache_bytes
         capacity = self._segment_capacity_bytes
+        parked = (self._parked_backings[shard_id]
+                  if self._parked_backings is not None else None)
         seed = (self._parked_nodes[shard_id]
                 if self._parked_nodes is not None else None)
 
         def build() -> ShardEngine:
-            """Construct the shard's store stack and engine (runs in the worker)."""
-            if directory is not None:
-                backing: NodeStore = SegmentNodeStore(
+            """Construct the shard's store stack and engine."""
+            if parked is not None:
+                backing: NodeStore = parked
+            elif directory is not None:
+                backing = SegmentNodeStore(
                     os.path.join(directory, f"shard-{shard_id:02d}"),
                     segment_capacity_bytes=capacity)
             elif store_factory is not None:
@@ -548,26 +541,14 @@ class VersionedKVService:
         """
         if self._opened:
             return
+        builders = [self._engine_builder(shard_id)
+                    for shard_id in range(self.router.num_shards)]
         if self.backend == "process":
-            self._process_backend = ProcessShardBackend()
-            self._shards = self._process_backend.start(
-                [self._engine_builder(shard_id)
-                 for shard_id in range(self.router.num_shards)])
-            self._parked_nodes = None
+            self._shards = ProcessShardBackend().start(builders)
         else:
-            shards: List[ThreadShardHandle] = []
-            for shard_id in range(self.router.num_shards):
-                backing = self._make_backing(shard_id)
-                cache: Optional[CachingNodeStore] = None
-                store: NodeStore = backing
-                if self._cache_bytes:
-                    cache = CachingNodeStore(backing, capacity_bytes=self._cache_bytes)
-                    store = cache
-                index = self._index_factory(store)
-                shards.append(ThreadShardHandle(
-                    ShardEngine(shard_id, backing, store, cache, index)))
-            self._shards = shards
-            self._parked_backings = None
+            self._shards = [ShardHandle(shard_id, engine=build())
+                            for shard_id, build in enumerate(builders)]
+        self._parked_nodes = self._parked_backings = None
         self._index_name = self._shards[0].describe() if self._shards else "?"
         if self.directory is not None:
             self._commits = self._load_manifest()
@@ -636,28 +617,22 @@ class VersionedKVService:
             # never journal a partial one — fall through to teardown and
             # let the next open() recover the last committed roots.
             pass
-        park = self.directory is None and self._store_factory is None
-        if self.backend == "process":
-            # The stores die with their workers; park their *content* so
-            # an in-memory reopen() can re-seed the committed state.
-            parked_nodes: Optional[List] = [] if park else None
-            for shard in self._shards:
-                if park:
+        if self.directory is None and self._store_factory is None:
+            # No persistent medium: park what reopen() restores the
+            # committed state from.  In-process the store objects simply
+            # survive; a worker's store dies with it, so its *content* is
+            # pulled across the pipe first.
+            if self.backend == "process":
+                self._parked_nodes = []
+                for shard in self._shards:
                     try:
-                        parked_nodes.append(shard.export_nodes())
+                        self._parked_nodes.append(shard.export_nodes())
                     except ShardExecutionError:
-                        parked_nodes.append(None)  # dead worker: content lost
-                shard.close()
-            self._parked_nodes = parked_nodes
-            self._process_backend = None
-        else:
-            for shard in self._shards:
-                shard.close()
-            if park:
-                # Default in-memory backings survive close() so that
-                # reopen() can restore the committed state without a
-                # persistent medium.
-                self._parked_backings = [shard.backing for shard in self._shards]
+                        self._parked_nodes.append(None)  # dead worker: content lost
+            else:
+                self._parked_backings = [shard.engine.backing for shard in self._shards]
+        for shard in self._shards:
+            shard.close()
         self._opened = False
 
     def reopen(self) -> None:
@@ -987,7 +962,7 @@ class VersionedKVService:
         The engine's batch application includes the durability barrier:
         the batch is pushed through the backing store's batched append
         path (SegmentNodeStore writes the DATA records plus a COMMIT
-        marker and fsyncs; FileNodeStore fsyncs).
+        marker and fsyncs).
         """
         puts, removes = self.batcher.take(shard.shard_id)
         if not puts and not removes:

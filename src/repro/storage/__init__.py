@@ -12,9 +12,6 @@ Provided stores:
 
 * :class:`~repro.storage.memory.InMemoryNodeStore` — dictionary-backed,
   used by unit tests and most benchmarks.
-* :class:`~repro.storage.file.FileNodeStore` — append-only segment files
-  with an in-memory digest index, for persistence across processes
-  (write-through, no crash recovery).
 * :class:`~repro.storage.segment.SegmentNodeStore` — the durable
   append-only segment engine: CRC-protected records, commit markers,
   torn-tail truncation on reopen, batched fsynced appends, and
@@ -41,7 +38,6 @@ class supplies the hashing/verification/accounting API on top of them.
 
 from repro.storage.store import NodeStore, StoreStats
 from repro.storage.memory import InMemoryNodeStore
-from repro.storage.file import FileNodeStore
 from repro.storage.segment import RecoveryReport, SegmentNodeStore
 from repro.storage.cache import CachingNodeStore
 from repro.storage.metered import MeteredNodeStore
@@ -52,7 +48,6 @@ __all__ = [
     "NodeStore",
     "StoreStats",
     "InMemoryNodeStore",
-    "FileNodeStore",
     "SegmentNodeStore",
     "RecoveryReport",
     "CachingNodeStore",

@@ -13,7 +13,7 @@ from repro.core.errors import (
 from repro.core.version import UnknownBranchError
 from repro.indexes import POSTree
 from repro.service import VersionedKVService
-from repro.storage.file import FileNodeStore
+from repro.storage.segment import SegmentNodeStore
 
 
 class TestOpenBackends:
@@ -37,7 +37,7 @@ class TestOpenBackends:
 
         def factory():
             counter[0] += 1
-            return FileNodeStore(str(tmp_path / f"shard-{counter[0]}"))
+            return SegmentNodeStore(str(tmp_path / f"shard-{counter[0]}"))
 
         with Repository.open(store_factory=factory, num_shards=2) as repo:
             repo.default_branch.put(b"k", b"v")

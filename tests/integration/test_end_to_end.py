@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.metrics import deduplication_ratio, storage_breakdown
 from repro.core.version import VersionGraph
-from repro.storage.file import FileNodeStore
+from repro.storage.segment import SegmentNodeStore
 from repro.storage.memory import InMemoryNodeStore
 from repro.workloads.collaboration import CollaborationWorkload
 from repro.workloads.wiki import WikiDatasetGenerator
@@ -50,7 +50,7 @@ class TestVersionedWorkloadLifecycle:
         generator = WikiDatasetGenerator(page_count=300, versions=3,
                                          edits_per_version=30, new_pages_per_version=5, seed=22)
         directory = str(tmp_path / "store")
-        store = FileNodeStore(directory)
+        store = SegmentNodeStore(directory)
         index = build_index(index_class, store)
         snapshot = index.from_items(generator.initial_dataset())
         roots = [snapshot.root_digest]
@@ -59,8 +59,9 @@ class TestVersionedWorkloadLifecycle:
             snapshot = snapshot.update(version.changes)
             expected.update(version.changes)
             roots.append(snapshot.root_digest)
+        store.close()
 
-        reopened = build_index(index_class, FileNodeStore(directory))
+        reopened = build_index(index_class, SegmentNodeStore(directory))
         final = reopened.snapshot(roots[-1])
         assert final.to_dict() == expected
         first = reopened.snapshot(roots[0])

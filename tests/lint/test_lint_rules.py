@@ -255,6 +255,73 @@ class TestL4PickleBoundary:
             "    sock.send(lambda: 1)\n"}
         assert _findings(sources, PickleBoundaryRule()) == []
 
+    # -- the boundary is read from the command table ------------------------
+
+    ENGINE = (
+        DOC +
+        "SHARD_COMMANDS = ('lookup_at', 'write_at')\n"
+        "class ShardEngine:\n"
+        "    def lookup_at(self, root, key):\n"
+        "        return None\n"
+        "    def write_at(self, root, puts):\n"
+        "        return root\n"
+        "    def scan(self, root):\n"
+        "        return []\n")
+
+    def test_consistent_table_engine_and_pipe_do_not_fire(self):
+        sources = {
+            "src/repro/service/engine.py": self.ENGINE,
+            "src/repro/service/process.py": DOC +
+            "def ok(transport, root, key):\n"
+            "    return transport.call('lookup_at', root, key)\n",
+            "src/repro/service/service.py": DOC +
+            "def ok(shard, root, puts):\n"
+            "    return shard.write_at(root, dict(puts))\n"}
+        assert _findings(sources, PickleBoundaryRule()) == []
+
+    def test_table_row_without_an_engine_method_is_caught(self):
+        sources = {"src/repro/service/engine.py": self.ENGINE.replace(
+            "('lookup_at', 'write_at')", "('lookup_at', 'write_at', 'vacuum')")}
+        findings = _findings(sources, PickleBoundaryRule())
+        assert [f.rule for f in findings] == ["L4-pickle-boundary"]
+        assert "'vacuum' names no public ShardEngine method" in findings[0].message
+
+    def test_repeated_table_row_is_caught(self):
+        sources = {"src/repro/service/engine.py": self.ENGINE.replace(
+            "('lookup_at', 'write_at')", "('lookup_at', 'write_at', 'lookup_at')")}
+        findings = _findings(sources, PickleBoundaryRule())
+        assert [f.rule for f in findings] == ["L4-pickle-boundary"]
+        assert "twice" in findings[0].message
+
+    def test_engine_method_sent_without_a_table_row_is_caught(self):
+        sources = {
+            "src/repro/service/engine.py": self.ENGINE,
+            "src/repro/service/process.py": DOC +
+            "def bad(transport, root):\n"
+            "    return transport.call('scan', root)\n"}
+        findings = _findings(sources, PickleBoundaryRule())
+        assert [f.rule for f in findings] == ["L4-pickle-boundary"]
+        assert "ShardEngine.scan() is sent over the pipe" in findings[0].message
+
+    def test_lambda_into_a_table_command_is_caught_anywhere_in_the_service(self):
+        sources = {
+            "src/repro/service/engine.py": self.ENGINE,
+            "src/repro/service/service.py": DOC +
+            "def bad(shard, root):\n"
+            "    return shard.write_at(root, lambda key: key)\n"
+            "def ok(shard, root):\n"
+            "    return shard.not_a_command(root, lambda key: key)\n"}
+        findings = _findings(sources, PickleBoundaryRule())
+        assert [(f.rule, f.line) for f in findings] == [("L4-pickle-boundary", 3)]
+        assert "shard command .write_at()" in findings[0].message
+
+    def test_unpicklable_return_of_a_table_command_is_caught(self):
+        sources = {"src/repro/service/engine.py": self.ENGINE.replace(
+            "        return root\n", "        return lambda: root\n")}
+        findings = _findings(sources, PickleBoundaryRule())
+        assert [f.rule for f in findings] == ["L4-pickle-boundary"]
+        assert "returned from ShardEngine.write_at()" in findings[0].message
+
 
 class TestL5ExceptionPolicy:
     def test_bare_except_is_caught(self):

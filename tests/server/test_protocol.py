@@ -2,9 +2,13 @@
 
 Two families of guarantees:
 
-* **Round-trip identity** — for every operation, arbitrary keys, values,
-  versions and branch names survive ``encode → frame → decode``
-  unchanged (Hypothesis-generated inputs).
+* **Round-trip identity** — one hypothesis test whose strategies are
+  derived from the per-op schema (``tests/server/wire_schema.py``), so
+  all 18 ops × 2 directions survive ``encode → decode`` unchanged; the
+  checked-in ``golden_frames.json`` (written by the hand-unrolled codec
+  this one replaced) pins the bytes themselves.
+* **Encoder range checks** — every integer field refuses a value it
+  cannot hold with :class:`~repro.core.errors.ProtocolError`.
 * **Decoder hardening** — arbitrary bytes, truncations of valid frames
   at *every* byte boundary, oversized declared lengths and trailing
   garbage all raise the typed
@@ -16,6 +20,9 @@ Two families of guarantees:
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
 import random
 
 import pytest
@@ -25,183 +32,159 @@ from hypothesis import strategies as st
 from repro.core.errors import ProtocolError
 from repro.server import protocol
 from repro.server.protocol import (
-    MAX_FRAME_BYTES,
-    CommitInfo,
     FrameDecoder,
     Op,
     Request,
     Response,
     Status,
-    WireProof,
     decode_request,
     decode_response,
     encode_frame,
     encode_request,
     encode_response,
 )
+from tests.server import wire_schema
 
-keys = st.binary(min_size=0, max_size=64)
-values = st.binary(min_size=0, max_size=256)
-versions = st.none() | st.integers(min_value=0, max_value=2**63)
-names = st.text(min_size=0, max_size=32)
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_frames.json")
 
-
-def roundtrip_request(request: Request) -> Request:
-    return decode_request(encode_request(request))
+#: ``(name, message)``: a request and an OK response per op and mode, an
+#: ERROR and a BUSY response — derived from the schema.
+SAMPLES = wire_schema.sample_messages()
 
 
-def roundtrip_response(response: Response) -> Response:
-    return decode_response(encode_response(response))
-
-
-# ---------------------------------------------------------------------------
-# Request round trips
-# ---------------------------------------------------------------------------
-
-@given(key=keys, version=versions, rid=st.integers(0, 2**32 - 1),
-       op=st.sampled_from([Op.GET, Op.PROVE]))
-def test_single_key_request_roundtrip(key, version, rid, op):
-    out = roundtrip_request(Request(op=op, request_id=rid, key=key, version=version))
-    assert (out.op, out.request_id, out.key, out.version) == (op, rid, key, version)
-
-
-@given(ks=st.lists(keys, max_size=16), version=versions)
-def test_get_many_request_roundtrip(ks, version):
-    out = roundtrip_request(Request(op=Op.GET_MANY, keys=ks, version=version))
-    assert out.keys == ks and out.version == version
-
-
-@given(items=st.lists(st.tuples(keys, values), max_size=16))
-def test_put_many_request_roundtrip(items):
-    assert roundtrip_request(Request(op=Op.PUT_MANY, items=items)).items == items
-
-
-@given(ks=st.lists(keys, max_size=16))
-def test_remove_many_request_roundtrip(ks):
-    assert roundtrip_request(Request(op=Op.REMOVE_MANY, keys=ks)).keys == ks
-
-
-@given(start=st.none() | keys, stop=st.none() | keys, prefix=st.none() | keys,
-       limit=st.integers(0, 2**32 - 1), version=versions)
-def test_scan_request_roundtrip(start, stop, prefix, limit, version):
-    out = roundtrip_request(Request(
-        op=Op.SCAN, start=start, stop=stop, prefix=prefix,
-        limit=limit, version=version))
-    assert (out.start, out.stop, out.prefix, out.limit, out.version) == \
-        (start, stop, prefix, limit, version)
-
-
-@given(left=versions, right=versions)
-def test_diff_request_roundtrip(left, right):
-    out = roundtrip_request(Request(op=Op.DIFF, version=left, right_version=right))
-    assert (out.version, out.right_version) == (left, right)
-
-
-@given(message=names)
-def test_commit_request_roundtrip(message):
-    assert roundtrip_request(Request(op=Op.COMMIT, message=message)).message == message
-
-
-@given(branch=names, from_branch=st.none() | names)
-def test_branch_create_request_roundtrip(branch, from_branch):
-    out = roundtrip_request(Request(
-        op=Op.BRANCH_CREATE, branch=branch, from_branch=from_branch))
-    assert (out.branch, out.from_branch) == (branch, from_branch)
-
-
-@given(version=versions)
-def test_snapshot_request_roundtrip(version):
-    assert roundtrip_request(
-        Request(op=Op.SNAPSHOT, version=version)).version == version
-
-
-def test_empty_payload_requests_roundtrip():
-    for op in (Op.PING, Op.BRANCHES):
-        assert roundtrip_request(Request(op=op, request_id=9)).op is op
+def _codec(message):
+    """The ``(encode, decode)`` pair for a message's direction."""
+    if isinstance(message, Request):
+        return encode_request, decode_request
+    return encode_response, decode_response
 
 
 # ---------------------------------------------------------------------------
-# Response round trips
+# Round trips: every op, both directions, generated from the schema
 # ---------------------------------------------------------------------------
 
-commits = st.builds(
-    CommitInfo,
-    version=st.integers(0, 2**63),
-    digest=st.binary(min_size=32, max_size=32),
-    branch=names,
-    parents=st.tuples() | st.tuples(st.integers(0, 2**63)),
-    timestamp=st.floats(allow_nan=False, allow_infinity=False),
-    message=names,
-    roots=st.lists(st.none() | st.binary(min_size=32, max_size=32),
-                   max_size=8).map(tuple),
-)
+@settings(max_examples=600)
+@given(message=wire_schema.requests() | wire_schema.responses())
+def test_every_message_roundtrips(message):
+    encode, decode = _codec(message)
+    assert decode(encode(message)) == message
 
 
-@given(value=st.none() | values)
-def test_get_response_roundtrip(value):
-    out = roundtrip_response(Response(status=Status.OK, op=Op.GET, value=value))
-    assert out.value == value
-
-
-@given(vs=st.lists(st.none() | values, max_size=16))
-def test_get_many_response_roundtrip(vs):
-    out = roundtrip_response(Response(status=Status.OK, op=Op.GET_MANY, values=vs))
-    assert out.values == vs
-
-
-@given(items=st.lists(st.tuples(keys, values), max_size=16),
-       truncated=st.booleans())
-def test_scan_response_roundtrip(items, truncated):
-    out = roundtrip_response(Response(
-        status=Status.OK, op=Op.SCAN, items=items, truncated=truncated))
-    assert out.items == items and out.truncated == truncated
-
-
-@given(entries=st.lists(
-    st.tuples(keys, st.none() | values, st.none() | values), max_size=16))
-def test_diff_response_roundtrip(entries):
-    out = roundtrip_response(Response(
-        status=Status.OK, op=Op.DIFF, diff_entries=entries))
-    assert out.diff_entries == entries
-
-
-@given(commit=commits, op=st.sampled_from(
-    [Op.COMMIT, Op.SNAPSHOT, Op.BRANCH_CREATE, Op.BRANCH_HEAD]))
-def test_commit_response_roundtrip(commit, op):
-    assert roundtrip_response(
-        Response(status=Status.OK, op=op, commit=commit)).commit == commit
-
-
-@given(branches=st.lists(names, max_size=8))
-def test_branches_response_roundtrip(branches):
-    out = roundtrip_response(Response(
-        status=Status.OK, op=Op.BRANCHES, branches=branches))
-    assert out.branches == branches
-
-
-@given(key=keys, value=st.none() | values, index_name=names,
-       shard=st.integers(0, 2**32 - 1), root=st.none() | st.binary(min_size=32, max_size=32),
-       steps=st.lists(st.tuples(st.integers(0, 2**32 - 1), values), max_size=8))
-def test_prove_response_roundtrip(key, value, index_name, shard, root, steps):
-    proof = WireProof(key, value, index_name, shard, root, steps)
-    out = roundtrip_response(Response(status=Status.OK, op=Op.PROVE, proof=proof))
-    assert out.proof == proof
-
-
-@given(code=names, message=names,
+@given(code=st.text(max_size=32), text=st.text(max_size=32),
        status=st.sampled_from([Status.ERROR, Status.BUSY]),
        op=st.sampled_from(list(Op)))
-def test_error_response_roundtrip(code, message, status, op):
-    out = roundtrip_response(Response(
+def test_error_response_roundtrip(code, text, status, op):
+    out = decode_response(encode_response(Response(
         status=status, op=op, request_id=7,
-        error_code=code, error_message=message))
-    assert (out.status, out.error_code, out.error_message) == (status, code, message)
+        error_code=code, error_message=text)))
+    assert (out.status, out.op, out.error_code, out.error_message) == \
+        (status, op, code, text)
 
 
-@given(ack=st.integers(0, 2**32 - 1), op=st.sampled_from([Op.PUT_MANY, Op.REMOVE_MANY]))
-def test_ack_response_roundtrip(ack, op):
-    assert roundtrip_response(
-        Response(status=Status.OK, op=op, ack_count=ack)).ack_count == ack
+def test_unset_attributes_encode_as_empty():
+    """``None`` in a required bytes/str/list attribute is written as empty."""
+    assert decode_request(encode_request(Request(op=Op.GET))).key == b""
+    assert decode_request(encode_request(Request(op=Op.GET_MANY))).keys == []
+    assert decode_request(encode_request(Request(op=Op.BRANCH_HEAD))).branch == ""
+
+
+# ---------------------------------------------------------------------------
+# Golden frames: the bytes the hand-unrolled codec wrote, kept forever
+# ---------------------------------------------------------------------------
+
+def _golden_frames():
+    with open(GOLDEN_PATH, encoding="utf-8") as handle:
+        return json.load(handle)["frames"]
+
+
+def test_golden_frames_cover_every_sample():
+    assert [frame["name"] for frame in _golden_frames()] == \
+        [name for name, _ in SAMPLES]
+
+
+@pytest.mark.parametrize("frame", _golden_frames(), ids=lambda frame: frame["name"])
+def test_golden_frame_bytes_and_decoding(frame):
+    message = dict(SAMPLES)[frame["name"]]
+    # A mismatch here means the *sample* drifted, not the codec.
+    assert wire_schema.describe(message) == frame["message"]
+    encode, decode = _codec(message)
+    assert encode(message).hex() == frame["hex"]
+    assert decode(bytes.fromhex(frame["hex"])) == message
+
+
+# ---------------------------------------------------------------------------
+# One definition per op
+# ---------------------------------------------------------------------------
+
+def test_every_op_has_one_request_row_one_response_row_and_one_handler():
+    from repro.server.server import HANDLERS
+    assert list(protocol.SCHEMA) == list(Op) == list(HANDLERS)
+    with pytest.raises(AssertionError, match="two schema rows"):
+        protocol._one_row_per_op([(op, (), ()) for op in Op] + [(Op.GET, (), ())])
+    with pytest.raises(AssertionError, match="without a schema row"):
+        protocol._one_row_per_op([(Op.GET, (), ())])
+
+
+# ---------------------------------------------------------------------------
+# Encoder range checks
+# ---------------------------------------------------------------------------
+
+def _with_one_integer_replaced(field, value, replacement):
+    """Copies of ``value``, each with one integer slot set to ``replacement(bits)``."""
+    if field.kind in ("u32", "u64"):
+        yield replacement(int(field.kind[1:]))
+    elif field.kind == "opt":
+        inner = field.parts[0]
+        yield from _with_one_integer_replaced(
+            inner, wire_schema.sample(inner) if value is None else value, replacement)
+    elif field.kind in ("list", "tuple"):
+        parts = field.parts * len(value) if field.kind == "list" else field.parts
+        for position, (part, item) in enumerate(zip(parts, value)):
+            for changed in _with_one_integer_replaced(part, item, replacement):
+                yield type(value)([*value[:position], changed, *value[position + 1:]])
+    elif field.kind == "record":
+        for name, member in field.parts:
+            for changed in _with_one_integer_replaced(
+                    member, getattr(value, name), replacement):
+                yield dataclasses.replace(value, **{name: changed})
+
+
+def _integer_variants(message, replacement):
+    """``message`` with each integer it carries (header and payload,
+    nested ones included) replaced in turn."""
+    for attribute, field in [("request_id", protocol.U32)] + wire_schema.fields_of(message):
+        for changed in _with_one_integer_replaced(
+                field, getattr(message, attribute), replacement):
+            yield dataclasses.replace(message, **{attribute: changed})
+
+
+OK_SAMPLES = [(name, message) for name, message in SAMPLES
+              if getattr(message, "status", Status.OK) is Status.OK]
+
+
+@pytest.mark.parametrize("name,message", OK_SAMPLES, ids=[name for name, _ in OK_SAMPLES])
+def test_out_of_range_integers_raise_protocol_error(name, message):
+    """No integer field wraps around or leaks ``OverflowError``."""
+    encode, decode = _codec(message)
+    for too_far in (lambda bits: -1, lambda bits: 2**bits):
+        for variant in _integer_variants(message, too_far):
+            with pytest.raises(ProtocolError):
+                encode(variant)
+    for variant in _integer_variants(message, lambda bits: 2**bits - 1):
+        assert decode(encode(variant)) == variant
+
+
+def test_integer_variants_reach_nested_integers():
+    commit = dict(OK_SAMPLES)["response/COMMIT"]
+    variants = list(_integer_variants(commit, lambda bits: -1))
+    # request_id, commit.version and the two sampled parents.
+    assert len(variants) == 4
+    assert [v.commit.parents for v in variants[2:]] == [(-1, 0), (2**40 + 5, -1)]
+
+
+def test_writer_u8_refuses_to_truncate():
+    with pytest.raises(ProtocolError):
+        protocol._Writer().u8(300)
 
 
 # ---------------------------------------------------------------------------
@@ -262,37 +245,11 @@ def test_take_completed_empty_after_normal_feed():
 # ---------------------------------------------------------------------------
 
 def _sample_bodies():
-    """One valid encoded body per message shape (requests + responses)."""
-    commit = CommitInfo(3, b"\x01" * 32, "main", (1, 2), 12.5, "msg",
-                        (None, b"\x02" * 32))
-    proof = WireProof(b"k", b"v", "pos", 1, b"\x03" * 32, [(0, b"node")])
-    reqs = [
-        Request(op=Op.PING, request_id=1),
-        Request(op=Op.GET, request_id=2, key=b"key", version=7),
-        Request(op=Op.GET_MANY, request_id=3, keys=[b"a", b"b"]),
-        Request(op=Op.PUT_MANY, request_id=4, items=[(b"a", b"1")]),
-        Request(op=Op.REMOVE_MANY, request_id=5, keys=[b"a"]),
-        Request(op=Op.SCAN, request_id=6, start=b"a", stop=b"z", limit=5),
-        Request(op=Op.DIFF, request_id=7, version=1, right_version=2),
-        Request(op=Op.COMMIT, request_id=8, message="m"),
-        Request(op=Op.SNAPSHOT, request_id=9, version=1),
-        Request(op=Op.BRANCHES, request_id=10),
-        Request(op=Op.BRANCH_CREATE, request_id=11, branch="dev"),
-        Request(op=Op.BRANCH_HEAD, request_id=12, branch="dev"),
-        Request(op=Op.PROVE, request_id=13, key=b"key"),
-    ]
-    resps = [
-        Response(status=Status.OK, op=Op.GET, value=b"v"),
-        Response(status=Status.OK, op=Op.GET_MANY, values=[b"v", None]),
-        Response(status=Status.OK, op=Op.SCAN, items=[(b"k", b"v")]),
-        Response(status=Status.OK, op=Op.DIFF, diff_entries=[(b"k", b"l", None)]),
-        Response(status=Status.OK, op=Op.COMMIT, commit=commit),
-        Response(status=Status.OK, op=Op.BRANCHES, branches=["main"]),
-        Response(status=Status.OK, op=Op.PROVE, proof=proof),
-        Response(status=Status.ERROR, op=Op.GET, error_code="x", error_message="y"),
-    ]
-    return ([encode_request(r) for r in reqs],
-            [encode_response(r) for r in resps])
+    """One valid encoded body per message shape (requests, responses)."""
+    bodies = ([], [])
+    for _name, message in SAMPLES:
+        bodies[isinstance(message, Response)].append(_codec(message)[0](message))
+    return bodies
 
 
 def test_every_truncation_raises_protocol_error():

@@ -11,7 +11,9 @@ observable state is byte-identical across all three SIRI index families:
 * commit digests (the cross-shard version identity),
 * full scans of every committed version,
 * structural diffs between consecutive versions,
-* Merkle proofs that verify against the shared roots.
+* Merkle proofs that verify against the shared roots,
+* the answer of every row of the shard command table, issued directly
+  through the shard handles of both backends.
 
 Because the commit digest is a hash over the shard root digests, root
 equality here is equality of the entire Merkle trees — one differing
@@ -23,6 +25,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.diff import DiffResult
+from repro.core.metrics import GCCounters
+from repro.hashing.digest import hash_bytes
+from repro.query.definition import IndexDefinition
+from repro.service.engine import SHARD_COMMANDS, ShardMetrics
 from repro.service.service import VersionedKVService
 from repro.workloads.ycsb import YCSBConfig, YCSBServiceDriver, YCSBWorkload
 from tests.conftest import SIRI_INDEXES, build_index
@@ -251,3 +258,106 @@ class TestSyncEquivalence:
         finally:
             memory.close()
             durable.close()
+
+
+def first_byte(value):
+    """Index extractor for the command-table script (module level: it is pickled)."""
+    return [value[:1]]
+
+
+def comparable(result):
+    """A command result with its wall-clock parts dropped."""
+    if isinstance(result, DiffResult):
+        return [(entry.key, entry.left, entry.right) for entry in result.entries]
+    if isinstance(result, ShardMetrics):
+        return (result.shard_id, result.flushes, result.nodes_written, result.records)
+    if isinstance(result, GCCounters):
+        return (result.runs, result.live_nodes, result.swept_nodes)
+    if isinstance(result, (set, frozenset)):
+        return sorted(result)
+    return result
+
+
+def run_command_script(shard):
+    """Issue every shard command through ``shard``; returns the answers.
+
+    One scripted life of a shard — write, read back, index, replicate,
+    collect, reset, close — in which each step's arguments come from
+    earlier answers.  The answers are ``(command, comparable result)``
+    pairs in script order.
+    """
+    answers = []
+
+    def issue(command, *args):
+        result = getattr(shard, command)(*args)
+        answers.append((command, comparable(result)))
+        return result
+
+    blob = b"a node that is not part of any tree"
+    with shard:
+        issue("describe")
+        issue("head_root")
+        first, _count = issue(
+            "apply_ops", {b"k%02d" % i: b"v%02d" % i for i in range(30)}, [])
+        issue("lookup_head", b"k07")
+        issue("load_batch", {b"k99": b"loaded"}, [b"k03"])
+        issue("history_copy")
+        second = issue("head_root")
+        issue("lookup_at", first, b"k03")
+        third = issue("write_at", second, {b"k50": b"branch"}, [b"k04"])
+        issue("store_flush")
+        issue("set_head", third, None)
+        issue("scan", third)
+        issue("scan_range", third, b"k05", b"k10")
+        issue("count_at", third)
+        issue("diff", first, third)
+        issue("prove", third, b"k07")
+        issue("node_digests", third)
+        issue("register_index", IndexDefinition("initial", first_byte))
+        postings = issue("posting_heads_state")
+        issue("postings_for", second, third, postings)
+        issue("write_at_indexed", third, {b"k51": b"x"}, [b"k05"], postings)
+        issue("metrics", True)
+        issue("reset_counters")
+        issue("storage_bytes")
+        issue("missing_digests", [third, hash_bytes(blob)])
+        issue("fetch_nodes", [third])
+        issue("import_nodes", [(hash_bytes(blob), blob)])
+        issue("collect", {first})
+        answers.append(("export_nodes", sorted(shard.export_nodes())))
+        issue("reset_head", first, None)
+        issue("lookup_head", b"k03")
+        issue("close_store")
+    return answers
+
+
+@pytest.mark.parametrize("index_class", SIRI_INDEXES, ids=lambda c: c.name)
+class TestCommandTableEquivalence:
+    def test_every_command_answers_identically_through_both_transports(self, index_class):
+        thread_svc, process_svc = service_pair(index_class, num_shards=2)
+        try:
+            for thread_shard, process_shard in zip(thread_svc._shards, process_svc._shards):
+                local = run_command_script(thread_shard)
+                piped = run_command_script(process_shard)
+                assert {command for command, _ in local} == set(SHARD_COMMANDS)
+                assert local == piped
+        finally:
+            # The script ends in close_store, so the workers are gone:
+            # close() skips its final commit and tears the rest down.
+            thread_svc.close()
+            process_svc.close()
+
+    def test_each_command_is_a_table_row_exactly_once(self, index_class):
+        assert len(set(SHARD_COMMANDS)) == len(SHARD_COMMANDS)
+        thread_svc, process_svc = service_pair(index_class, num_shards=2)
+        try:
+            for shard in thread_svc._shards + process_svc._shards:
+                for command in SHARD_COMMANDS:
+                    assert callable(getattr(shard, command))
+            # In-process, a command *is* the engine's bound method: no
+            # forwarding frame between the service and the engine.
+            local = thread_svc._shards[0]
+            assert local.lookup_at == local.engine.lookup_at
+        finally:
+            thread_svc.close()
+            process_svc.close()

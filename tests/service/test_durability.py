@@ -158,7 +158,7 @@ class TestCrashRecovery:
             handle.write(encode_data_record(hash_bytes(b"uncommitted-2"), b"u2" * 30))
         recovered = make_service(tmp_path, num_shards=2)
         assert recovered.commits[-1].roots == commit.roots
-        shard_store = recovered._shards[0].backing
+        shard_store = recovered._shards[0].engine.backing
         assert shard_store.recovery.uncommitted_records_dropped == 2
         assert not shard_store.contains(hash_bytes(b"uncommitted-1"))
         assert recovered.get("base-0007") == b"val-7"

@@ -5,7 +5,7 @@ import pytest
 from repro.core.errors import InvalidParameterError, NodeNotFoundError
 from repro.core.metrics import GCCounters
 from repro.indexes import POSTree
-from repro.storage.file import FileNodeStore
+from repro.storage.cache import CachingNodeStore
 from repro.storage.gc import GarbageCollector, reachable_digests
 from repro.storage.memory import InMemoryNodeStore
 from repro.storage.refcount import RefCountingNodeStore
@@ -76,8 +76,8 @@ class TestSweepStrategies:
         assert report.swept_nodes > 0
         assert snaps[-2][b"k003"] is not None
 
-    def test_store_without_delete_or_compact_rejected(self, tmp_path):
-        store = FileNodeStore(str(tmp_path / "plain"))
+    def test_store_without_delete_or_compact_rejected(self):
+        store = CachingNodeStore(InMemoryNodeStore())
         store.put(b"unreclaimable")
         with pytest.raises(InvalidParameterError):
             GarbageCollector(store).collect(set())
