@@ -25,7 +25,7 @@ reporting.  The acceptance bar (ISSUE 5) is bulk ≥ 5× the seed
 ``from_items`` ingest on ≥ 2 of the 3 SIRI index types at 100 k keys.
 
 A second section measures the service-level load path (per-key puts vs
-``VersionedKVService.load`` vs ``ServiceExecutor.load`` vs
+``put_many`` vs ``VersionedKVService.load`` vs
 ``Repository.import_data``), asserting equal commit digests.
 
 Run directly (``--quick`` for the CI smoke configuration)::
@@ -40,7 +40,7 @@ from common import make_index, report, scaled, throughput
 from repro.analysis.report import format_table
 from repro.api import Repository
 from repro.indexes import POSTree
-from repro.service import ServiceExecutor, VersionedKVService
+from repro.service import VersionedKVService
 
 INDEX_NAMES = ["POS-Tree", "MBT", "MPT"]  # the three SIRI families
 BATCH_SIZE = 1_024
@@ -164,13 +164,6 @@ def run_service_comparison(count, suffix=""):
     started = time.perf_counter()
     service.load(items)
     finish("service.load", service, time.perf_counter() - started)
-
-    service = VersionedKVService(POSTree, num_shards=NUM_SHARDS)
-    with ServiceExecutor(service) as executor:
-        started = time.perf_counter()
-        executor.load(items)
-        seconds = time.perf_counter() - started
-    finish(f"executor.load ({NUM_SHARDS} workers)", service, seconds)
 
     with Repository.open(num_shards=NUM_SHARDS) as repo:
         started = time.perf_counter()

@@ -1,9 +1,8 @@
 """Concurrent service execution — throughput vs client threads and shards.
 
-This benchmark is not a paper figure: it evaluates the concurrent
-execution engine added on top of the sharded versioned-KV service
-(:mod:`repro.service.executor` and the thread-safe service paths; see
-"The concurrency model" in ``docs/ARCHITECTURE.md``).  It answers one
+This benchmark is not a paper figure: it evaluates the thread-safe
+paths of the sharded versioned-KV service (see "The concurrency model"
+in ``docs/ARCHITECTURE.md``).  It answers one
 question: once the serving layer is safe to drive from many client
 threads, does adding workers actually buy throughput, and how does the
 gain interact with the shard count?

@@ -13,7 +13,7 @@ Usage::
 
     python scripts/run_stress.py                  # 10 runs of the default files
     python scripts/run_stress.py --repeats 50     # a deeper local hunt
-    python scripts/run_stress.py tests/service/test_executor.py --repeats 3
+    python scripts/run_stress.py tests/service/test_concurrency.py --repeats 3
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import time
 #: The server suites ride along because socket delivery, asyncio worker
 #: scheduling and queue admission timing all vary run to run.
 DEFAULT_TESTS = [
-    "tests/service/test_executor.py",
+    "tests/service/test_concurrency.py",
     "tests/indexes/test_differential.py",
     "tests/storage/test_segment.py",
     "tests/service/test_durability.py",

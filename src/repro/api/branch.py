@@ -75,6 +75,23 @@ def prefix_upper_bound(prefix: bytes) -> Optional[bytes]:
     return None
 
 
+def scan_bounds(start: Optional[bytes], stop: Optional[bytes],
+                prefix: Optional[bytes]) -> Tuple[Optional[bytes], Optional[bytes]]:
+    """The ``[start, stop)`` range of a scan with ``prefix`` folded in.
+
+    Keys starting with ``prefix`` are exactly those in
+    ``[prefix, prefix_upper_bound(prefix))``, so the prefix narrows the
+    bounds and a range-pruned scan reads only that range.
+    """
+    if prefix is not None:
+        if start is None or start < prefix:
+            start = prefix
+        upper = prefix_upper_bound(prefix)
+        if upper is not None and (stop is None or upper < stop):
+            stop = upper
+    return start, stop
+
+
 def committed_postings(service, commit: Optional[ServiceCommit],
                        definition: IndexDefinition,
                        index_key: bytes) -> Optional[List[Tuple[bytes, bytes]]]:
@@ -317,15 +334,8 @@ class Branch:
         (:meth:`~repro.core.interfaces.SIRIIndex.iterate_range`), so a
         narrow scan costs the range, not the dataset.
         """
-        lo = coerce_key(start) if start is not None else None
-        hi = coerce_key(stop) if stop is not None else None
-        if prefix is not None:
-            prefix_bytes = coerce_key(prefix)
-            if lo is None or lo < prefix_bytes:
-                lo = prefix_bytes
-            upper = prefix_upper_bound(prefix_bytes)
-            if upper is not None and (hi is None or upper < hi):
-                hi = upper
+        lo, hi = scan_bounds(*(None if bound is None else coerce_key(bound)
+                               for bound in (start, stop, prefix)))
         with self._lock:
             staged = dict(self._staged)
         for key, value in overlay_items(self.snapshot().items_range(lo, hi), staged):

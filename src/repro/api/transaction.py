@@ -35,7 +35,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Iterator, Mapping, Optional, Tuple
 
 from repro.core.errors import (
     KeyNotFoundError,

@@ -74,10 +74,11 @@ class MergeConflictError(ReproError):
 class ShardExecutionError(ReproError):
     """A per-shard task failed; no partial cross-shard result was produced.
 
-    Raised by :class:`repro.service.executor.ServiceExecutor` when a
-    fanned-out shard task fails, and by the process shard backend
+    Raised by :class:`repro.service.VersionedKVService` when a shard's
+    flush fails, by the wire server when one key of a ``GET_MANY`` or
+    ``REMOVE_MANY`` fails, and by the process shard backend
     (:mod:`repro.service.process`) when a shard worker process dies or
-    its command pipe breaks.  In both cases the failing operation is
+    its command pipe breaks.  In every case the failing operation is
     abandoned whole — callers never observe a result assembled from a
     subset of shards, and a cross-shard commit whose prepare phase raised
     this error is never journalled.

@@ -193,9 +193,8 @@ class CacheCounters:
 class ContentionCounters:
     """Lock acquisition accounting for one mutex (a shard lock).
 
-    The service layer's concurrent execution engine
-    (:mod:`repro.service.executor`) guards each shard with its own lock;
-    these counters record how often that lock was taken, how often the
+    The service layer (:mod:`repro.service`) guards each shard with its
+    own lock, so any number of client threads can drive it; these counters record how often that lock was taken, how often the
     taker had to wait because another thread held it, and for how long.
     A high :attr:`contention_ratio` on one shard while the others are idle
     is the signature of key skew defeating hash partitioning.

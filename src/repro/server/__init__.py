@@ -5,9 +5,9 @@ This package turns the in-process service stack into an actual service
 length-prefixed binary wire format over all repository operations
 (including ``prove``, so remote clients can verify answers against a
 commit root they trust); :mod:`repro.server.server` runs an asyncio
-front door that admits requests into bounded per-shard queues feeding a
-:class:`~repro.service.executor.ServiceExecutor`, rejecting with ``BUSY``
-frames under overload; :mod:`repro.server.client` provides
+front door that admits requests into bounded per-shard queues whose
+handlers call the :class:`~repro.service.VersionedKVService` directly,
+rejecting with ``BUSY`` frames under overload; :mod:`repro.server.client` provides
 :class:`~repro.server.client.RemoteRepository`, a pooled, pipelining
 client mirroring the local :class:`~repro.api.Repository` surface; and
 :mod:`repro.server.metrics` surfaces per-op latency histograms and queue

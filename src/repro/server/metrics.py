@@ -2,7 +2,7 @@
 
 One :class:`ServerMetrics` instance lives on each
 :class:`~repro.server.server.RepositoryServer`.  Admission workers call
-the ``record_*`` hooks from both the asyncio loop thread and executor
+the ``record_*`` hooks from both the asyncio loop thread and dispatch
 threads, so every mutation takes the internal lock; readers get
 consistent point-in-time copies via :meth:`queue_counters` /
 :meth:`snapshot`.

@@ -14,9 +14,10 @@ instead of unbounded memory growth (the invariant
 Each queue is drained by one worker coroutine that runs the blocking
 handler on a small dispatch thread pool (sized to the queue count, so
 every queue can make progress even when another queue's handler blocks
-on slow storage).  Cross-shard handlers fan out through the shared
-:class:`~repro.service.executor.ServiceExecutor` — a *separate* pool, so
-a handler waiting on its shard tasks can never deadlock against them.
+on slow storage).  That is the only hand-off: a handler calls the
+:class:`~repro.service.VersionedKVService` directly on its dispatch
+thread, cross-shard operations included, so no handler ever waits on
+another pool.
 
 Failure handling draws the line at the frame boundary: an operation
 error (unknown key, unknown branch, a shard task failing) is answered
@@ -31,16 +32,19 @@ closes connections — in-flight requests are answered, never dropped.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.api.branch import scan_bounds
 from repro.core.errors import (
     InvalidParameterError,
     KeyNotFoundError,
     ProtocolError,
     ReproError,
+    ShardExecutionError,
     SyncHeadMovedError,
     SyncIntegrityError,
 )
@@ -57,7 +61,6 @@ from repro.server.protocol import (
     WireBranchHead,
     WireProof,
 )
-from repro.service.executor import ServiceExecutor, ShardExecutionError
 from repro.service.service import ServiceCommit, VersionedKVService
 
 #: Bytes read from a socket per loop iteration.
@@ -175,8 +178,10 @@ class RepositoryServer:
         Listen address; port 0 picks a free port (read :attr:`address`
         after :meth:`start`).
     executor:
-        A :class:`ServiceExecutor` to share; by default the server
-        creates (and then owns) one over the service.
+        Accepted and ignored.  Handlers call the service directly; the
+        parameter remains only so existing callers that still pass a
+        deprecated :class:`~repro.service.executor.ServiceExecutor` keep
+        working.
     queue_capacity:
         Bound of each admission queue; a full queue answers ``BUSY``.
     max_frame_bytes:
@@ -184,7 +189,7 @@ class RepositoryServer:
     """
 
     def __init__(self, repository, *, host: str = "127.0.0.1", port: int = 0,
-                 executor: Optional[ServiceExecutor] = None,
+                 executor: object = None,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  max_frame_bytes: int = protocol.MAX_FRAME_BYTES):
         if queue_capacity <= 0:
@@ -198,8 +203,6 @@ class RepositoryServer:
         self.port = port
         self.max_frame_bytes = max_frame_bytes
         self.queue_capacity = queue_capacity
-        self._owns_executor = executor is None
-        self.executor = executor or ServiceExecutor(self.service)
         #: One queue per shard for single-key ops + one control queue.
         self.num_queues = self.service.num_shards + 1
         self.metrics = ServerMetrics(self.num_queues)
@@ -266,8 +269,6 @@ class RepositoryServer:
         self._connections.clear()
         if self._dispatch is not None:
             self._dispatch.shutdown(wait=True)
-        if self._owns_executor:
-            self.executor.close()
         self._stopped.set()
 
     # -- connection handling -----------------------------------------------
@@ -441,43 +442,43 @@ class RepositoryServer:
             request.key, default=None, version=request.version)
 
     def _op_get_many(self, request: Request, response: Response) -> None:
-        response.values = self.executor.get_many(
-            request.keys, version=request.version)
+        version = request.version
+        response.values = self._per_key(
+            "get_many", request.keys,
+            lambda key: self.service.get(key, default=None, version=version))
 
     def _op_put_many(self, request: Request, response: Response) -> None:
-        self.executor.put_many(request.items)
+        self.service.put_many(request.items)
         response.ack_count = len(request.items)
 
     def _op_remove_many(self, request: Request, response: Response) -> None:
-        self.executor.remove_many(request.keys)
+        self._per_key("remove_many", request.keys, self.service.remove)
         response.ack_count = len(request.keys)
 
     def _op_scan(self, request: Request, response: Response) -> None:
-        start, stop, prefix = request.start, request.stop, request.prefix
-        selected = response.items = []
-        for key, value in self.executor.scan(version=request.version):
-            if start is not None and key < start:
-                continue
-            if stop is not None and key >= stop:
-                break
-            if prefix is not None:
-                if not key.startswith(prefix):
-                    if key > prefix:
-                        break
-                    continue
-            if request.limit and len(selected) >= request.limit:
-                response.truncated = True
-                break
-            selected.append((key, value))
+        # limit 0 means unbounded; otherwise one record past the limit
+        # tells whether the answer was cut short.
+        limit = request.limit or None
+        lo, hi = scan_bounds(request.start, request.stop, request.prefix)
+        records = self.service.snapshot(request.version).items_range(lo, hi)
+        items = response.items = list(
+            itertools.islice(records, limit and limit + 1))
+        if limit is not None and len(items) > limit:
+            response.truncated = True
+            del items[limit:]
 
     def _op_diff(self, request: Request, response: Response) -> None:
         left = (request.version if request.version is not None
                 else self.service.snapshot())
-        entries = self.executor.diff(left, request.right_version).entries
+        entries = self.service.diff(left, request.right_version).entries
         response.diff_entries = [(e.key, e.left, e.right) for e in entries]
 
     def _op_commit(self, request: Request, response: Response) -> None:
-        response.commit = _commit_info(self.executor.commit(request.message))
+        # Flushing first applies each shard's batch under that shard's
+        # lock alone, so the all-locks cut in commit() has nothing left
+        # to apply while it holds every shard.
+        self.service.flush()
+        response.commit = _commit_info(self.service.commit(request.message))
 
     def _op_snapshot(self, request: Request, response: Response) -> None:
         response.commit = _commit_info(self._commit_at(request.version))
@@ -578,6 +579,18 @@ class RepositoryServer:
         response.cursor_version = cursor.version
         response.cursor_offset = cursor.offset
         response.up_to_date = up_to_date
+
+    def _per_key(self, operation: str, keys: List[bytes],
+                 call: Callable[[bytes], object]) -> list:
+        """``call`` on each key in order; a failure names the key's shard."""
+        results = []
+        for key in keys:
+            try:
+                results.append(call(key))
+            except Exception as exc:
+                raise ShardExecutionError(
+                    self.service.shard_of(key), operation, exc) from exc
+        return results
 
     def _commit_at(self, version: Optional[int]) -> ServiceCommit:
         """The commit record of ``version`` (default branch head if None)."""

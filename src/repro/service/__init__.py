@@ -32,11 +32,11 @@ merged later.
   commands over pickled per-shard pipes, so shard work escapes the GIL.
   Select it with ``VersionedKVService(..., backend="process")``; the
   default ``backend="thread"`` keeps every shard in-process.
-* :mod:`repro.service.executor` — the concurrent execution engine
-  (:class:`ServiceExecutor`): a worker pool fanning multi-key gets,
-  scans, merged diffs, bulk writes and commits out over the shards with
-  deterministic result ordering and fail-fast error handling
-  (:class:`ShardExecutionError`).  Works unchanged on both backends.
+* :class:`ShardExecutionError` — how a shard's failure surfaces from a
+  cross-shard operation (a flush, a dead worker process): the operation
+  is abandoned whole, never answered from a subset of shards.
+* :mod:`repro.service.executor` — deprecated: :class:`ServiceExecutor`
+  is a thread-free alias of the service, kept for existing imports.
 
 Quickstart::
 
@@ -52,9 +52,10 @@ Quickstart::
     assert service.get(b"user:1", version=v0) == b"alice"
 """
 
+from repro.core.errors import ShardExecutionError
 from repro.service.batcher import ShardWriteBatcher
 from repro.service.engine import ShardEngine, ShardHandle
-from repro.service.executor import ServiceExecutor, ShardExecutionError
+from repro.service.executor import ServiceExecutor
 from repro.service.process import ProcessShardBackend
 from repro.service.service import (
     ServiceCommit,

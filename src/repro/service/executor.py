@@ -1,387 +1,30 @@
-"""Concurrent execution engine for the sharded versioned-KV service.
+"""Deprecated: :class:`ServiceExecutor` is a thread-free alias of the service.
 
-:class:`VersionedKVService` is thread-safe but executes every call on the
-caller's thread; with N shards that leaves N−1 partitions idle during any
-one operation.  :class:`ServiceExecutor` closes that gap: it owns a pool
-of worker threads and fans multi-key gets, scans, merged diffs, bulk
-writes and cross-shard flushes/commits out over the shards, one task per
-shard, so independent partitions make progress simultaneously.  Because
-each fanned-out task touches exactly one shard, tasks only ever contend
-on *their* shard's lock — shard parallelism, the reason the service
-partitions keys at all, finally pays off on the execution path.
-
-Guarantees
-----------
-* **Deterministic result ordering.**  Results never depend on thread
-  scheduling: :meth:`get_many` returns values in input-key order,
-  :meth:`scan` yields records in ascending key order, and :meth:`diff`
-  merges per-shard diffs sorted by key — identical output to the
-  sequential service, just faster.
-* **Fail-fast, no partial results.**  If any shard task raises, pending
-  tasks are cancelled, already-running ones are drained, and the failure
-  is re-raised as :class:`ShardExecutionError` carrying the shard id and
-  chaining the original exception.  A caller never receives a result
-  assembled from a subset of shards.
-* **Atomic commits.**  :meth:`commit` pre-flushes the shards in parallel
-  (the expensive copy-on-write work), then delegates to the service's
-  commit, whose all-locks cross-shard cut makes the recorded roots a
-  consistent point in the interleaving.
-
-The engine is a front end, not a replacement: the underlying service
-remains fully usable concurrently — client threads can keep calling
-``service.put``/``service.get`` directly while an executor fans out bulk
-operations over the same shards.
+Every method it used to offer is :class:`VersionedKVService`'s own
+(``scan(version=v)`` is ``service.items(v)``).  The class is kept only
+because existing callers still import it and hand it to
+``RepositoryServer(executor=...)``, which ignores it.
 """
 
 from __future__ import annotations
 
-import heapq
-import threading
-from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-from repro.core.diff import DiffResult
-from repro.core.errors import ShardExecutionError
-from repro.core.interfaces import KeyLike, ValueLike, coerce_key, coerce_value
-from repro.service.service import ServiceCommit, ServiceSnapshot, VersionedKVService
-
-VersionLike = Union[int, ServiceCommit]
-
-__all__ = ["ServiceExecutor", "ShardExecutionError"]
+from repro.service.service import VersionedKVService
 
 
 class ServiceExecutor:
-    """A worker pool fanning service operations out across shards.
+    """Deprecated; forwards every attribute to ``service``, holds no threads."""
 
-    Parameters
-    ----------
-    service:
-        The :class:`VersionedKVService` to execute against.
-    max_workers:
-        Pool size; defaults to the service's shard count (more workers
-        than shards cannot help, because tasks are per-shard).
-
-    Use as a context manager to shut the pool down deterministically::
-
-        with ServiceExecutor(service) as executor:
-            values = executor.get_many([b"a", b"b", b"c"])
-    """
-
-    def __init__(self, service: VersionedKVService, *, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
+    def __init__(self, service: VersionedKVService) -> None:
         self.service = service
-        self.max_workers = max_workers or service.num_shards
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-shard"
-        )
-        self._closed = False
-        # Futures submitted but not yet done — close() must resolve any
-        # it abandons, or fan-outs blocked on them would hang forever.
-        self._inflight: set = set()
-        self._inflight_lock = threading.Lock()
 
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def is_closed(self) -> bool:
-        """Whether :meth:`close` has run (every operation now raises)."""
-        return self._closed
+    def __getattr__(self, name: str):
+        return getattr(self.service, name)
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent; waits for running tasks).
-
-        Safe to call any number of times and from multiple owners — the
-        server's drain path closes the executor it was handed, and so may
-        the code that created it.
-
-        Tasks already *running* are allowed to finish; tasks still
-        *queued* are cancelled so their fan-outs fail fast with a
-        descriptive :class:`ShardExecutionError` instead of blocking
-        forever on futures no worker will ever run.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        # Snapshot *before* the drain: cancelling a future fires its
-        # done-callback, which untracks it — snapshotting afterwards
-        # would miss exactly the futures that need resolving.
-        with self._inflight_lock:
-            abandoned = set(self._inflight)
-        # Drain the pool's queue: cancelled work items are never handed
-        # to a worker thread after this.
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        with self._inflight_lock:
-            abandoned |= self._inflight
-        # The pool only *cancels* drained futures — it never notifies
-        # their waiters (nothing will ever run them), so a fan-out
-        # blocked in wait() would hang forever.  Deliver the missing
-        # notification for every future this executor abandoned.
-        for future in abandoned:
-            future.cancel()
-            if future.cancelled():
-                try:
-                    future.set_running_or_notify_cancel()
-                except RuntimeError:
-                    pass  # a worker got to it first: already notified
-        self._pool.shutdown(wait=True)
-
-    def submit(self, fn: Callable[..., object], *args, **kwargs) -> Future:
-        """Run ``fn(*args, **kwargs)`` on the pool; returns its future.
-
-        The wire server uses this to execute request handlers off the
-        asyncio loop thread while sharing the executor's pool.
-        """
-        if self._closed:
-            raise RuntimeError("ServiceExecutor is closed")
-        return self._track(self._pool.submit(fn, *args, **kwargs))
-
-    def _track(self, future: Future) -> Future:
-        """Register a live future so close() can resolve it if abandoned."""
-        with self._inflight_lock:
-            self._inflight.add(future)
-        future.add_done_callback(self._untrack)
-        return future
-
-    def _untrack(self, future: Future) -> None:
-        with self._inflight_lock:
-            self._inflight.discard(future)
+        """No-op: there is no pool to shut down."""
 
     def __enter__(self) -> "ServiceExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # -- fan-out core ------------------------------------------------------
-
-    def _run_shard_tasks(self, operation: str,
-                         tasks: Sequence[Tuple[int, Callable[[], object]]]) -> List[object]:
-        """Run one thunk per shard on the pool; fail fast, never partially.
-
-        Returns the task results in submission order (deterministic,
-        independent of completion order).  On the first task failure the
-        remaining pending tasks are cancelled, running ones are drained,
-        and a :class:`ShardExecutionError` naming the failing shard is
-        raised — chained to the original exception.
-        """
-        if self._closed:
-            # The pool would raise for the multi-task path anyway; raising
-            # here too keeps the single-task inline shortcut from silently
-            # outliving close().
-            raise RuntimeError("ServiceExecutor is closed")
-        if not tasks:
-            return []
-        if len(tasks) == 1:
-            # One shard involved: run inline, skip the pool round trip.
-            shard_id, thunk = tasks[0]
-            try:
-                return [thunk()]
-            except Exception as exc:
-                raise ShardExecutionError(shard_id, operation, exc) from exc
-        futures: List[Future] = [self._track(self._pool.submit(thunk))
-                                 for _, thunk in tasks]
-        try:
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            failed = next(
-                ((i, f) for i, f in enumerate(futures)
-                 if f in done and not f.cancelled() and f.exception() is not None),
-                None,
-            )
-            if failed is not None:
-                index, future = failed
-                for other in not_done:
-                    other.cancel()
-                wait(futures)  # drain tasks that were already running
-                cause = future.exception()
-                raise ShardExecutionError(tasks[index][0], operation, cause) from cause
-            cancelled = next(
-                (i for i, f in enumerate(futures) if f.cancelled()), None)
-            if cancelled is not None:
-                # close() cancelled a queued task out from under this
-                # fan-out; future.result() would raise a bare
-                # CancelledError with no shard context.  Fail fast with
-                # the contract error instead.
-                for other in not_done:
-                    other.cancel()
-                wait(futures)
-                cause = RuntimeError(
-                    "executor closed before the shard task could run; "
-                    "operation abandoned with no partial result")
-                raise ShardExecutionError(
-                    tasks[cancelled][0], operation, cause) from cause
-            return [future.result() for future in futures]
-        finally:
-            # A caller interrupting the wait (e.g. KeyboardInterrupt) must
-            # not leak still-queued tasks into later operations.
-            for future in futures:
-                future.cancel()
-
-    # -- reads -------------------------------------------------------------
-
-    def get_many(self, keys: Iterable[KeyLike], *, version: Optional[VersionLike] = None,
-                 default: Optional[bytes] = None) -> List[Optional[bytes]]:
-        """Read many keys at once; values come back in input-key order.
-
-        Keys are partitioned by shard and each shard's batch is resolved
-        by one pool task (through :meth:`VersionedKVService.get`, so
-        latest-state reads keep their read-your-writes semantics and
-        versioned reads stay lock-free).
-        """
-        key_list = [coerce_key(key) for key in keys]
-        buckets = self.service.router.partition_indexed(key_list)
-        service = self.service
-
-        def read_bucket(bucket: List[Tuple[int, bytes]]) -> List[Tuple[int, Optional[bytes]]]:
-            return [(position, service.get(key, default=default, version=version))
-                    for position, key in bucket]
-
-        tasks = [
-            (shard_id, (lambda b=bucket: read_bucket(b)))
-            for shard_id, bucket in enumerate(buckets) if bucket
-        ]
-        results: List[Optional[bytes]] = [default] * len(key_list)
-        for bucket_result in self._run_shard_tasks("get_many", tasks):
-            for position, value in bucket_result:
-                results[position] = value
-        return results
-
-    def scan(self, *, version: Optional[VersionLike] = None) -> List[Tuple[bytes, bytes]]:
-        """Materialize all records in ascending key order, one task per shard.
-
-        The per-shard ordered streams are materialized concurrently and
-        merge-joined, so the result is byte-for-byte identical to
-        ``list(service.items())``.
-        """
-        snapshot = self.service.snapshot(version)
-        tasks = [
-            (shard_id, (lambda s=shard_snap: list(s.items())))
-            for shard_id, shard_snap in enumerate(snapshot.shards)
-        ]
-        streams = self._run_shard_tasks("scan", tasks)
-        return list(heapq.merge(*streams))
-
-    def diff(self, left: Union[VersionLike, ServiceSnapshot],
-             right: Union[VersionLike, ServiceSnapshot, None] = None) -> DiffResult:
-        """Merged structural diff between two versions, per-shard in parallel.
-
-        Equivalent to :meth:`VersionedKVService.diff` (entries sorted by
-        key, comparison counts summed) with each shard pair diffed by its
-        own pool task.
-        """
-        service = self.service
-        left_snap = left if isinstance(left, ServiceSnapshot) else service.snapshot(left)
-        if right is None:
-            right_snap = service.snapshot()
-        elif isinstance(right, ServiceSnapshot):
-            right_snap = right
-        else:
-            right_snap = service.snapshot(right)
-        if len(left_snap.shards) != len(right_snap.shards):
-            # Defer to the sequential path for its error message.
-            return left_snap.diff(right_snap)
-        tasks = [
-            (shard_id, (lambda l=l_snap, r=r_snap: l.diff(r)))
-            for shard_id, (l_snap, r_snap)
-            in enumerate(zip(left_snap.shards, right_snap.shards))
-        ]
-        merged = DiffResult()
-        for partial in self._run_shard_tasks("diff", tasks):
-            merged.entries.extend(partial.entries)
-            merged.comparisons += partial.comparisons
-        merged.entries.sort(key=lambda entry: entry.key)
-        return merged
-
-    # -- writes ------------------------------------------------------------
-
-    def put_many(self, items: Union[Dict[KeyLike, ValueLike],
-                                    Sequence[Tuple[KeyLike, ValueLike]]]) -> None:
-        """Buffer many writes, fanned out one task per destination shard.
-
-        Within a shard the input order is preserved, so last-writer-wins
-        coalescing resolves duplicates exactly as a sequential
-        :meth:`VersionedKVService.put_many` would.
-        """
-        pairs = items.items() if isinstance(items, Mapping) else items
-        coerced = [(coerce_key(key), coerce_value(value)) for key, value in pairs]
-        self._fan_out_writes("put_many", coerced, remover=None)
-
-    def remove_many(self, keys: Iterable[KeyLike]) -> None:
-        """Buffer many removals, fanned out one task per destination shard."""
-        coerced = [(coerce_key(key), None) for key in keys]
-        self._fan_out_writes("remove_many", coerced, remover=True)
-
-    def _fan_out_writes(self, operation: str,
-                        pairs: List[Tuple[bytes, Optional[bytes]]],
-                        remover: Optional[bool]) -> None:
-        service = self.service
-        buckets: List[List[Tuple[bytes, Optional[bytes]]]] = [
-            [] for _ in range(service.num_shards)
-        ]
-        for key, value in pairs:
-            buckets[service.router.shard_of(key)].append((key, value))
-
-        def write_bucket(bucket: List[Tuple[bytes, Optional[bytes]]]) -> None:
-            for key, value in bucket:
-                if value is None and remover:
-                    service.remove(key)
-                else:
-                    service.put(key, value)
-
-        tasks = [
-            (shard_id, (lambda b=bucket: write_bucket(b)))
-            for shard_id, bucket in enumerate(buckets) if bucket
-        ]
-        self._run_shard_tasks(operation, tasks)
-
-    def load(self, items: Union[Dict[KeyLike, ValueLike],
-                                Sequence[Tuple[KeyLike, ValueLike]]]) -> int:
-        """Bulk-ingest ``items`` with one pool task per destination shard.
-
-        Same semantics as :meth:`VersionedKVService.load` — one lock
-        round-trip per shard, pending buffered operations folded in, the
-        bottom-up builders on empty shards — but the per-shard batched
-        writes (the expensive copy-on-write tree construction) run
-        concurrently on the pool.  Returns the number of records routed.
-        """
-        service = self.service
-        service._require_open()
-        per_shard, total = service._partition_load(items)
-        tasks = [
-            (shard_id, (lambda s=shard_id, p=puts: service._load_shard(s, p)))
-            for shard_id, puts in enumerate(per_shard) if puts
-        ]
-        self._run_shard_tasks("load", tasks)
-        return total
-
-    def flush(self) -> None:
-        """Flush every shard's pending writes, one pool task per shard.
-
-        This parallelizes the expensive part of a flush — the per-shard
-        copy-on-write batch application — across the pool.
-        """
-        service = self.service
-        tasks = [
-            (shard_id, (lambda s=shard_id: service._flush_shard(s)))
-            for shard_id in range(service.num_shards)
-            if service.batcher.pending_count(shard_id)
-        ]
-        self._run_shard_tasks("flush", tasks)
-
-    def commit(self, message: str = "") -> ServiceCommit:
-        """Record a cross-shard version, pre-flushing shards in parallel.
-
-        The parallel pre-flush does the heavy tree rebuilding; the
-        service's own commit then takes its atomic all-shards cut (which
-        drains anything buffered in between) and records the version.
-        The returned commit is indistinguishable from one produced by
-        :meth:`VersionedKVService.commit`.
-        """
-        self.flush()
-        return self.service.commit(message)
-
-    def __repr__(self) -> str:
-        return (
-            f"ServiceExecutor(workers={self.max_workers}, "
-            f"service={self.service!r})"
-        )

@@ -49,12 +49,11 @@ would, rather than as bare library classes:
   :class:`~repro.core.metrics.ContentionCounters`), versioned reads
   against committed roots are lock-free, and :meth:`commit` /
   :meth:`snapshot` capture an atomic cross-shard cut by briefly holding
-  all shard locks.  :class:`repro.service.executor.ServiceExecutor` adds
-  a worker pool that fans multi-key operations out over the shards.  The
-  full model is documented in ``docs/ARCHITECTURE.md`` ("The concurrency
-  model").  The *lifecycle* methods (:meth:`close`, :meth:`reopen`) are
-  the one exception: call them on a quiesced service, not concurrently
-  with in-flight operations.
+  all shard locks.  The full model is documented in
+  ``docs/ARCHITECTURE.md`` ("The concurrency model").  The *lifecycle*
+  methods (:meth:`close`, :meth:`reopen`) are the one exception: call
+  them on a quiesced service, not concurrently with in-flight
+  operations.
 
 The service works with any index class implementing
 :class:`~repro.core.interfaces.SIRIIndex` and any
@@ -910,9 +909,6 @@ class VersionedKVService:
         flushed puts; call :meth:`commit` (or use
         :meth:`repro.api.Branch.load`) to version it.  Returns the number
         of records routed.
-
-        :meth:`repro.service.executor.ServiceExecutor.load` drives the
-        same per-shard loads concurrently, one pool task per shard.
         """
         self._require_open()
         per_shard, total = self._partition_load(items)
@@ -975,13 +971,28 @@ class VersionedKVService:
         Safe to call from any thread, including concurrently with enqueues
         on the same shard: the batcher drains its buffer atomically, and
         the head/history transition happens under the shard's lock.
+
+        A failure is raised as :class:`~repro.core.errors.ShardExecutionError`
+        naming the shard and the ``"flush"`` operation (a worker's own
+        ``ShardExecutionError`` passes through unchanged).
         """
         shard = self._shards[shard_id]
-        with shard:
-            self._flush_shard_locked(shard)
+        try:
+            with shard:
+                self._flush_shard_locked(shard)
+        except ShardExecutionError:
+            raise
+        except Exception as exc:
+            raise ShardExecutionError(shard_id, "flush", exc) from exc
 
     def flush(self) -> None:
-        """Flush every shard's pending operations to its index."""
+        """Flush every shard's pending operations to its index.
+
+        Shards flush one at a time, each under its own lock only; the
+        first shard to fail stops the flush with a
+        :class:`~repro.core.errors.ShardExecutionError`, and nothing is
+        committed.
+        """
         self._require_open()
         for shard_id in range(self.num_shards):
             self._flush_shard(shard_id)
@@ -1877,7 +1888,7 @@ class VersionedKVService:
                     # intermediate flush roots may now dangle.
                     delta = shard.collect(roots)
                     merged = merged.merge(delta)
-        self._gc_total = self._gc_total.merge(merged)
+            self._gc_total = self._gc_total.merge(merged)
         return merged
 
     def snapshot(self, version: Optional[Union[int, ServiceCommit]] = None) -> ServiceSnapshot:
@@ -1965,6 +1976,9 @@ class VersionedKVService:
         self._require_open()
         with self._counter_lock:
             self._gets = self._puts = self._removes = 0
+        # collect_garbage() adds to the GC total under the commit lock.
+        with self._commit_lock:
+            self._gc_total = GCCounters()
         self.batcher.reset_counters()
         for shard in self._shards:
             # Under the shard lock: flushes/flush_seconds/contention are

@@ -17,7 +17,7 @@ hashing keys into buckets.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from repro.core.errors import InvalidParameterError
 
@@ -49,20 +49,6 @@ class ShardRouter:
         buckets: List[List[bytes]] = [[] for _ in range(self.num_shards)]
         for key in keys:
             buckets[self.shard_of(key)].append(key)
-        return buckets
-
-    def partition_indexed(self, keys: Iterable[bytes]) -> List[List[Tuple[int, bytes]]]:
-        """Split ``keys`` into per-shard ``(position, key)`` lists.
-
-        ``position`` is the key's index in the input iteration order, so a
-        caller that fans per-shard work out to threads can reassemble the
-        per-shard results into one list matching the input order — the
-        deterministic-ordering contract of
-        :class:`repro.service.executor.ServiceExecutor`.
-        """
-        buckets: List[List[Tuple[int, bytes]]] = [[] for _ in range(self.num_shards)]
-        for position, key in enumerate(keys):
-            buckets[self.shard_of(key)].append((position, key))
         return buckets
 
     def __repr__(self) -> str:

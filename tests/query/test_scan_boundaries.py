@@ -12,7 +12,7 @@ reads flow through to it, across all three SIRI index families:
 import pytest
 
 from repro.api import Repository
-from repro.api.branch import prefix_upper_bound
+from repro.api.branch import prefix_upper_bound, scan_bounds
 from repro.query import IndexDefinition
 from tests.conftest import SIRI_INDEXES, build_index
 
@@ -81,6 +81,23 @@ class TestBranchScan:
         branch.remove(b"b")
         assert [k for k, _ in branch.scan(b"ab", b"bb")] == [b"ab", b"abc", b"ba"]
         branch.discard()
+
+
+class TestScanBounds:
+    """The one prefix fold shared by ``Branch.scan`` and the wire SCAN."""
+
+    @pytest.mark.parametrize("start, stop, prefix, expected", [
+        (None, None, None, (None, None)),
+        (b"a", b"c", None, (b"a", b"c")),
+        (None, None, b"b", (b"b", b"c")),
+        (b"ba", b"bb", b"b", (b"ba", b"bb")),
+        (b"a", b"z", b"b", (b"b", b"c")),
+        (None, None, b"\xff", (b"\xff", None)),
+        (None, b"\xff\x01", b"\xff", (b"\xff", b"\xff\x01")),
+    ], ids=["unbounded", "bounds-only", "prefix-only", "bounds-inside-prefix",
+            "prefix-inside-bounds", "0xff-prefix-open-ended", "0xff-prefix-with-stop"])
+    def test_prefix_narrows_the_bounds(self, start, stop, prefix, expected):
+        assert scan_bounds(start, stop, prefix) == expected
 
 
 class TestIterateRange:

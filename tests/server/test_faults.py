@@ -7,8 +7,8 @@ The server's failure contract (docs/SERVER.md):
 * A frame that parses as a frame but not as a request is answered with a
   ``protocol`` error frame, then the connection is closed (no trusted
   resync point exists); other connections are unaffected.
-* An *operation* failure (here: a shard task blowing up inside the
-  executor) is answered with an error frame carrying the mapped code,
+* An *operation* failure (here: a shard read blowing up inside the
+  service) is answered with an error frame carrying the mapped code,
   and the same connection keeps working — errors are per-request, not
   per-connection.
 
@@ -119,8 +119,8 @@ def test_shard_error_surfaces_as_error_frame_connection_usable(
     def boom(*args, **kwargs):
         raise RuntimeError("injected shard failure")
 
-    # GET_MANY fans out through the executor; a failing shard task must
-    # come back as ShardExecutionError -> "shard_execution" error frame.
+    # GET_MANY reads key by key; a failing shard read must come back as
+    # ShardExecutionError -> "shard_execution" error frame.
     monkeypatch.setattr(live_server.service, "get", boom)
     with pytest.raises(RemoteServerError) as excinfo:
         client.get_many([b"a", b"b"])

@@ -1,9 +1,9 @@
 """Tests for the shard-parallel bulk-ingest path (ISSUE 5).
 
-``VersionedKVService.load`` / ``ServiceExecutor.load`` must be
-observationally identical to the per-key put path — same commit digests,
-same read-your-writes interaction with the buffer — while touching each
-shard exactly once per call.  ``put_many`` (bug-fixed in the same PR)
+``VersionedKVService.load`` must be observationally identical to the
+per-key put path — same commit digests, same read-your-writes
+interaction with the buffer — while touching each shard exactly once
+per call.  ``put_many`` (bug-fixed in the same PR)
 must group per shard, count once, and flush each shard at most once per
 call.
 """
@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.indexes import MerklePatriciaTrie, POSTree
-from repro.service import ServiceExecutor, VersionedKVService
+from repro.service import VersionedKVService
 
 ITEMS = {b"key%05d" % i: b"value%05d" % i for i in range(2000)}
 
@@ -111,21 +111,7 @@ class TestServiceLoad:
         with pytest.raises(ServiceClosedError):
             service.load(ITEMS)
 
-
-class TestExecutorLoad:
-    def test_executor_load_matches_sequential_load(self):
-        sequential = make_service()
-        sequential.load(ITEMS)
-        expected = sequential.commit("loaded")
-
-        service = make_service()
-        with ServiceExecutor(service) as executor:
-            routed = executor.load(ITEMS)
-        actual = service.commit("loaded")
-        assert routed == len(ITEMS)
-        assert actual.digest == expected.digest
-
-    def test_executor_load_concurrent_with_readers(self):
+    def test_load_concurrent_with_readers(self):
         service = make_service()
         service.load({b"existing%d" % i: b"v" for i in range(100)})
         errors = []
@@ -141,8 +127,7 @@ class TestExecutorLoad:
         threads = [threading.Thread(target=reader) for _ in range(3)]
         for thread in threads:
             thread.start()
-        with ServiceExecutor(service) as executor:
-            executor.load(ITEMS)
+        service.load(ITEMS)
         for thread in threads:
             thread.join()
         assert not errors

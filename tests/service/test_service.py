@@ -256,12 +256,15 @@ def test_reset_counters(service):
     fill(service, 50)
     service.flush()
     service.get("key:00001")
+    service.collect_garbage()
+    assert service.metrics().gc.runs > 0
     service.reset_counters()
     metrics = service.metrics()
     assert metrics.gets == metrics.puts == 0
     assert metrics.nodes_written == 0
     assert metrics.cache.requests == 0
     assert metrics.flushes == 0
+    assert metrics.gc.runs == 0
     # State survives the counter reset.
     assert service.get("key:00001") == b"value-1"
 
